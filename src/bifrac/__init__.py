@@ -5,10 +5,12 @@ from .exponents import (ConjugateUndefinedError, Exponent, check_homogeneity,
                         conjugate, homogeneous_lambda, parse_rational)
 from .matrices import (JointNormalForm, RankDeficientStackError,
                        RationalMatrix, SingleNormalForm, SingularMatrixError,
-                       invert, joint_normal_form, rank, single_normal_form)
+                       invert, joint_normal_form, rank, signature,
+                       single_normal_form)
 from .classifier import (Clause, HypothesisError, OperatorConfig, Verdict,
                          classify_bilinear, classify_symmetric, classify_linear,
-                         classify_pairing, classify_radial, make_config)
+                         classify_pairing, classify_radial, decide,
+                         make_config)
 from .functions import (Constant, Dilated, DivergentNormError, Gaussian,
                         IndicatorBall, MollifiedDelta, NoWitnessError,
                         NormEstimate, PowerLog, SplitPowerLog, TestFunction,
@@ -22,4 +24,4 @@ from .operators import (GridSpec, NonIntegrableError, ProbeReport,
                         translation_covariance_defect)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.0.0"
+__version__ = "0.1.0"

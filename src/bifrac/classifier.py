@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exponents import Exponent, conjugate, homogeneous_lambda
-from .matrices import RationalMatrix, rank
+from .exponents import Exponent, conjugate, homogeneous_lambda, parse_rational
+from .matrices import RationalMatrix, rank, signature
 
 
 class Clause(str, enum.Enum):
@@ -90,16 +90,19 @@ class OperatorConfig:
     def __post_init__(self) -> None:
         if min(self.n1, self.n2, self.m) < 1:
             raise ValueError("dimensions must be positive")
-        if (self.D1.rows, self.D1.cols) != (self.n1, self.m):
-            raise HypothesisError(Clause.LAMBDA_OUT_OF_RANGE,
-                                  f"D1 must be {self.n1}x{self.m}")
-        if (self.D2.rows, self.D2.cols) != (self.n2, self.m):
-            raise HypothesisError(Clause.LAMBDA_OUT_OF_RANGE,
-                                  f"D2 must be {self.n2}x{self.m}")
+        check_shapes(self.n1, self.n2, self.m, self.D1, self.D2)
 
     def swapped(self) -> "OperatorConfig":
         return OperatorConfig(self.n2, self.n1, self.m, self.D2, self.D1,
                               self.p2, self.p1, self.q, self.lam)
+
+
+def check_shapes(n1: int, n2: int, m: int,
+                 D1: RationalMatrix, D2: RationalMatrix) -> None:
+    """Raise ValueError unless D1 is n1 x m and D2 is n2 x m."""
+    for name, D, n in (("D1", D1, n1), ("D2", D2, n2)):
+        if (D.rows, D.cols) != (n, m):
+            raise ValueError(f"{name} must be {n}x{m}, got {D.rows}x{D.cols}")
 
 
 def make_config(n1, n2, m, D1, D2, p1, p2, q, lam) -> OperatorConfig:
@@ -110,7 +113,7 @@ def make_config(n1, n2, m, D1, D2, p1, p2, q, lam) -> OperatorConfig:
         D2=D2 if isinstance(D2, RationalMatrix) else RationalMatrix.from_rows(D2),
         p1=Exponent.from_value(p1), p2=Exponent.from_value(p2),
         q=Exponent.from_value(q),
-        lam=Fraction(lam) if not isinstance(lam, Fraction) else lam,
+        lam=parse_rational(lam),
     )
 
 
@@ -119,16 +122,22 @@ def _fail(clause: Clause, detail: str, subreason=None, r1=None, r2=None, lam=Non
 
 
 def classify_bilinear(cfg: OperatorConfig) -> Verdict:
-    """Full boundedness characterization of the bilinear operator.
+    """Full boundedness characterization of the bilinear operator."""
+    return decide(signature(cfg.D1, cfg.D2), cfg.p1, cfg.p2, cfg.q, cfg.lam)
 
-    Checks run in a fixed order and the first failure wins:
-    (0) order hypothesis, (1) stacked rank, (2) exponent floor and
-    homogeneity, (3) index-vector constraints, (4) q-range per rank
-    pattern with exact equality-accessibility side conditions.
+
+def decide(sig: tuple, p1: Exponent, p2: Exponent, q: Exponent,
+           lam: Fraction) -> Verdict:
+    """The bilinear verdict from a rank signature and the exponents.
+
+    sig is `matrices.signature(D1, D2)`.  Checks run in a fixed order
+    and the first failure wins: (0) order hypothesis, (1) stacked rank,
+    (2) exponent floor and homogeneity, (3) index-vector constraints,
+    (4) q-range per rank pattern with exact equality-accessibility
+    side conditions.
     """
-    n1, n2, m = cfg.n1, cfg.n2, cfg.m
-    a1, a2, b = cfg.p1.recip, cfg.p2.recip, cfg.q.recip
-    lam = cfg.lam
+    n1, n2, m, r1, r2, stacked = sig
+    a1, a2, b = p1.recip, p2.recip, q.recip
 
     # (0) hypothesis: 0 < lam < n1 + n2
     if not (0 < lam < n1 + n2):
@@ -136,22 +145,20 @@ def classify_bilinear(cfg: OperatorConfig) -> Verdict:
             Clause.LAMBDA_OUT_OF_RANGE,
             f"order {lam} outside (0, {n1 + n2}); outside theorem scope")
 
-    # (1) stacked rank
-    r1, r2 = rank(cfg.D1), rank(cfg.D2)
-
     def fail(clause, detail, subreason=None):
         return _fail(clause, detail, subreason=subreason, r1=r1, r2=r2, lam=lam)
 
-    if rank(cfg.D1.stack(cfg.D2)) < m:
+    # (1) stacked rank
+    if stacked < m:
         return fail(Clause.RANK_STACK_DEFICIENT,
                     f"stacked matrix has rank < m = {m}")
 
     # (2) p_i >= 1, then exact homogeneity
     if a1 > 1 or a2 > 1:
         return fail(Clause.EXPONENT_RANGE_FAILED,
-                    f"p1 = {cfg.p1}, p2 = {cfg.p2}: both must be >= 1",
+                    f"p1 = {p1}, p2 = {p2}: both must be >= 1",
                     subreason="p-below-one")
-    lam_star = homogeneous_lambda(n1, n2, m, cfg.p1, cfg.p2, cfg.q)
+    lam_star = homogeneous_lambda(n1, n2, m, p1, p2, q)
     if lam != lam_star:
         return fail(Clause.HOMOGENEITY_FAILED,
                     f"order {lam} != homogeneity value {lam_star}")

@@ -19,13 +19,12 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
-from .classifier import (Clause, HypothesisError, OperatorConfig, Verdict,
-                         classify_bilinear, classify_linear, classify_radial,
-                         make_config)
-from .exponents import Exponent, homogeneous_lambda
+from .classifier import (HypothesisError, check_shapes, classify_bilinear,
+                         decide, make_config)
+from .exponents import Exponent, homogeneous_lambda, parse_rational
 from .functions import descriptor_from_dict, witness_for
 from .matrices import (RankDeficientStackError, RationalMatrix,
-                       joint_normal_form, rank, single_normal_form)
+                       joint_normal_form, signature, single_normal_form)
 from .operators import (GridSpec, NonIntegrableError, QuadratureSpec,
                         blowup_probe, default_quad, dilation_slope,
                         eval_bilinear, eval_linear, eval_radial,
@@ -75,22 +74,35 @@ def _require(cfg: dict, *keys):
         raise ConfigError(f"config is missing required keys: {missing}")
 
 
+def _dimension(cfg: dict, key: str) -> int:
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _exact(cfg: dict, key: str, parse=parse_rational):
+    """cfg[key] parsed exactly (floats are refused), naming the key on
+    failure."""
+    try:
+        return parse(cfg[key])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _resolve_lambda(cfg: dict, n1, n2, m, p1, p2, q):
-    raw = cfg.get("lambda", "auto")
-    if raw == "auto":
+    if cfg.get("lambda", "auto") == "auto":
         return homogeneous_lambda(n1, n2, m, p1, p2, q), True
-    return Fraction(raw), False
+    return _exact(cfg, "lambda"), False
 
 
 def _bilinear_config(cfg: dict):
     _require(cfg, "n1", "n2", "m", "D1", "D2", "p1", "p2", "q")
-    p1 = Exponent.from_value(cfg["p1"])
-    p2 = Exponent.from_value(cfg["p2"])
-    q = Exponent.from_value(cfg["q"])
-    lam, auto = _resolve_lambda(cfg, cfg["n1"], cfg["n2"], cfg["m"],
-                                p1, p2, q)
-    oc = make_config(cfg["n1"], cfg["n2"], cfg["m"], cfg["D1"], cfg["D2"],
-                     p1, p2, q, lam)
+    n1, n2, m = (_dimension(cfg, k) for k in ("n1", "n2", "m"))
+    p1, p2, q = (_exact(cfg, k, Exponent.from_value)
+                 for k in ("p1", "p2", "q"))
+    lam, auto = _resolve_lambda(cfg, n1, n2, m, p1, p2, q)
+    oc = make_config(n1, n2, m, cfg["D1"], cfg["D2"], p1, p2, q, lam)
     return oc, auto
 
 
@@ -144,12 +156,8 @@ def cmd_reduce(cfg: dict, args) -> int:
     _require(cfg, "D1", "D2")
     D1 = RationalMatrix.from_rows(cfg["D1"])
     D2 = RationalMatrix.from_rows(cfg["D2"])
-    if D1.cols != D2.cols:
-        raise ConfigError("D1 and D2 must share column count")
-    m = D1.cols
-    stacked = rank(D1.stack(D2))
-    record = {"r1": rank(D1), "r2": rank(D2), "stacked_rank": stacked,
-              "m": m}
+    _, _, m, r1, r2, stacked = signature(D1, D2)
+    record = {"r1": r1, "r2": r2, "stacked_rank": stacked, "m": m}
     s1 = single_normal_form(D1)
     s2 = single_normal_form(D2)
     record["single"] = {
@@ -178,9 +186,11 @@ def cmd_sweep(cfg: dict, args) -> int:
     divisor = sweep.get("divisor", 8)
     if not (isinstance(divisor, int) and 2 <= divisor <= 64):
         raise ConfigError("sweep divisor must be an integer in [2, 64]")
-    n1, n2, m = cfg["n1"], cfg["n2"], cfg["m"]
+    n1, n2, m = (_dimension(cfg, k) for k in ("n1", "n2", "m"))
     D1 = RationalMatrix.from_rows(cfg["D1"])
     D2 = RationalMatrix.from_rows(cfg["D2"])
+    check_shapes(n1, n2, m, D1, D2)
+    sig = signature(D1, D2)
     rows = []
     for i1 in range(divisor + 1):
         for i2 in range(divisor + 1):
@@ -193,8 +203,7 @@ def cmd_sweep(cfg: dict, args) -> int:
                 q = Exponent(b)
                 lam = homogeneous_lambda(n1, n2, m, p1, p2, q)
                 try:
-                    oc = OperatorConfig(n1, n2, m, D1, D2, p1, p2, q, lam)
-                    verdict = classify_bilinear(oc)
+                    verdict = decide(sig, p1, p2, q, lam)
                     bounded, clause = verdict.bounded, verdict.clause.value
                 except HypothesisError as exc:
                     bounded, clause = False, exc.clause.value
@@ -254,16 +263,16 @@ def cmd_norm(cfg: dict, args) -> int:
             est = lq_norm_on_grid(oc, f1, f2, _grid_spec(cfg, args), quad)
     elif operator == "linear":
         _require(cfg, "n", "m", "D", "lambda", "x")
-        n, m = cfg["n"], cfg["m"]
+        n, m = _dimension(cfg, "n"), _dimension(cfg, "m")
         quad = _quad_spec(cfg, args, n)
         est = eval_linear(n, m, RationalMatrix.from_rows(cfg["D"]),
-                          Fraction(cfg["lambda"]), _witness(cfg, "f"),
+                          _exact(cfg, "lambda"), _witness(cfg, "f"),
                           [float(v) for v in cfg["x"]], quad)
     elif operator == "radial":
         _require(cfg, "n", "m", "lambda", "x")
-        n, m = cfg["n"], cfg["m"]
+        n, m = _dimension(cfg, "n"), _dimension(cfg, "m")
         quad = _quad_spec(cfg, args, n)
-        est = eval_radial(n, m, Fraction(cfg["lambda"]), _witness(cfg, "f"),
+        est = eval_radial(n, m, _exact(cfg, "lambda"), _witness(cfg, "f"),
                           [float(v) for v in cfg["x"]], quad)
     else:
         raise ConfigError(f"unknown operator {operator!r}")

@@ -35,14 +35,14 @@ class Exponent:
 
     @classmethod
     def from_value(cls, p: ExponentLike) -> "Exponent":
-        """Build from a p-value: an int, Fraction, "a/b" string or "inf"."""
+        """Build from a p-value: an int, Fraction, "a/b" string or "inf";
+        floats are refused (see parse_rational)."""
         if isinstance(p, Exponent):
             return p
-        if isinstance(p, str):
-            if p.strip().lower() in ("inf", "infinity", "oo"):
-                return cls(Fraction(0))
-            p = Fraction(p)
-        p = Fraction(p)
+        if isinstance(p, str) and p.strip().lower() in ("inf", "infinity",
+                                                        "oo"):
+            return cls(Fraction(0))
+        p = parse_rational(p)
         if p <= 0:
             raise ValueError(f"exponent must be positive, got {p}")
         return cls(1 / p)

@@ -3,20 +3,21 @@ Lp norms.
 
 Descriptors are immutable and evaluation is lazy, so quadrature can
 refine arbitrarily close to singular points without re-ingesting data.
-All evaluators accept an (N, dim) array of points and return an (N,)
-array; a single point may be passed as a 1-d array.
+Each descriptor class carries its own pointwise values (on an (N, dim)
+array of points), its Lp norm and its quadrature breakpoints, so a new
+witness is one class plus one `_TAGS` entry for serialization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad as _scipy_quad
 
-from .exponents import Exponent
+from .matrices import signature
 
 
 class DivergentNormError(ArithmeticError):
@@ -47,7 +48,19 @@ class TestFunction:
     dim: int
 
     def values(self, y: np.ndarray) -> np.ndarray:
+        """Values at an (N, dim) array of points, as an (N,) array."""
         raise NotImplementedError
+
+    def norm(self, p: float) -> NormEstimate:
+        """L^p (quasi-)norm for p in (0, inf]; raises DivergentNormError
+        when it is infinite."""
+        raise NotImplementedError
+
+    def breaks(self) -> List[List[float]]:
+        """Per-axis coordinates where the descriptor is discontinuous,
+        singular or sharply concentrated; quadrature refines toward
+        them."""
+        return [[] for _ in range(self.dim)]
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,13 @@ class IndicatorBall(TestFunction):
     def values(self, y):
         d = y - np.asarray(self.center)
         return (np.linalg.norm(d, axis=-1) <= self.radius).astype(float)
+
+    def norm(self, p):
+        vol = unit_ball_volume(self.dim) * self.radius ** self.dim
+        return NormEstimate(vol ** (1.0 / p), 0.0, "analytic")
+
+    def breaks(self):
+        return [[c - self.radius, c, c + self.radius] for c in self.center]
 
 
 @dataclass(frozen=True)
@@ -86,6 +106,13 @@ class MollifiedDelta(TestFunction):
         r = np.linalg.norm(y, axis=-1)
         return np.where(r <= self.width, self.height, 0.0)
 
+    def norm(self, p):
+        mass = unit_ball_volume(self.dim) * self.width ** self.dim
+        return NormEstimate(self.height * mass ** (1.0 / p), 0.0, "analytic")
+
+    def breaks(self):
+        return [[-self.width, 0.0, self.width]] * self.dim
+
 
 @dataclass(frozen=True)
 class PowerLog(TestFunction):
@@ -104,15 +131,20 @@ class PowerLog(TestFunction):
             raise ValueError("need p > 0 and cutoff in (0, 1)")
 
     def values(self, y):
-        r = np.linalg.norm(np.atleast_2d(y), axis=-1)
+        r = np.linalg.norm(y, axis=-1)
         out = np.zeros_like(r)
         inside = (r > 0) & (r <= self.cutoff)
         ri = r[inside]
         out[inside] = (ri ** (-self.dim / self.p)
                        * np.log(1.0 / ri) ** (-(1.0 + self.eps) / self.p))
-        if np.ndim(y) == 1:
-            return out[0]
         return out
+
+    def norm(self, p):
+        return _powerlog_radial_norm(self.dim, self.p, self.eps,
+                                     self.cutoff, p)
+
+    def breaks(self):
+        return [[-self.cutoff, 0.0, self.cutoff]] * self.dim
 
 
 @dataclass(frozen=True)
@@ -136,17 +168,30 @@ class SplitPowerLog(TestFunction):
             raise ValueError("tail block must be nonempty")
 
     def values(self, y):
-        y2 = np.atleast_2d(y)
-        r = np.linalg.norm(y2, axis=-1)
-        rt = np.linalg.norm(y2[..., self.head:], axis=-1)
+        r = np.linalg.norm(y, axis=-1)
+        rt = np.linalg.norm(y[..., self.head:], axis=-1)
         out = np.zeros_like(r)
         inside = (r <= 0.5) & (rt > 0)
         ri = rt[inside]
         out[inside] = (ri ** (-self.tail / self.p)
                        * np.log(1.0 / ri) ** (-(1.0 + self.eps) / self.p))
-        if np.ndim(y) == 1:
-            return out[0]
         return out
+
+    def norm(self, p):
+        if self.head == 0:
+            section = None
+        else:
+            vol_head = unit_ball_volume(self.head)
+
+            def section(rho, _v=vol_head, _k=self.head):
+                s2 = 0.25 - rho * rho
+                return _v * s2 ** (_k / 2.0) if s2 > 0 else 0.0
+
+        return _powerlog_radial_norm(self.tail, self.p, self.eps, 0.5, p,
+                                     tail_cross_section=section)
+
+    def breaks(self):
+        return [[-0.5, 0.0, 0.5]] * self.dim
 
 
 @dataclass(frozen=True)
@@ -154,11 +199,14 @@ class Constant(TestFunction):
     value: float = 1.0
 
     def values(self, y):
-        r = np.linalg.norm(np.atleast_2d(y), axis=-1)
-        out = np.full_like(r, self.value)
-        if np.ndim(y) == 1:
-            return out[0]
-        return out
+        return np.full(len(y), self.value, dtype=float)
+
+    def norm(self, p):
+        if math.isinf(p):
+            return NormEstimate(abs(self.value), 0.0, "analytic")
+        if self.value == 0:
+            return NormEstimate(0.0, 0.0, "analytic")
+        raise DivergentNormError("nonzero constant is not in L^p for p < inf")
 
 
 @dataclass(frozen=True)
@@ -174,6 +222,11 @@ class Gaussian(TestFunction):
     def values(self, y):
         r2 = np.sum(np.square(np.asarray(y)), axis=-1)
         return np.exp(-r2 / self.scale ** 2)
+
+    def norm(self, p):
+        # int exp(-p |y|^2 / s^2) dy = (pi s^2 / p)^(n/2)
+        val = (math.pi * self.scale ** 2 / p) ** (self.dim / (2.0 * p))
+        return NormEstimate(val, 0.0, "analytic")
 
 
 @dataclass(frozen=True)
@@ -192,6 +245,15 @@ class Dilated(TestFunction):
     def values(self, y):
         return self.inner.values(np.asarray(y) / self.a)
 
+    def norm(self, p):
+        base = self.inner.norm(p)
+        scale = self.a ** (self.dim / p)
+        return NormEstimate(base.value * scale, base.abs_error * scale,
+                            base.method)
+
+    def breaks(self):
+        return [[v * self.a for v in axis] for axis in self.inner.breaks()]
+
 
 @dataclass(frozen=True)
 class Translated(TestFunction):
@@ -209,11 +271,21 @@ class Translated(TestFunction):
         if self.mask is not None and len(self.mask) != self.dim:
             raise ValueError("mask dimension mismatch")
 
-    def values(self, y):
+    def _shift(self) -> np.ndarray:
         shift = np.asarray(self.z, dtype=float)
         if self.mask is not None:
             shift = shift * np.asarray(self.mask, dtype=float)
-        return self.inner.values(np.asarray(y) - shift)
+        return shift
+
+    def values(self, y):
+        return self.inner.values(np.asarray(y) - self._shift())
+
+    def norm(self, p):
+        return self.inner.norm(p)
+
+    def breaks(self):
+        return [[v + s for v in axis]
+                for axis, s in zip(self.inner.breaks(), self._shift())]
 
 
 def dilate(f: TestFunction, a: float) -> TestFunction:
@@ -235,24 +307,18 @@ def evaluate(f: TestFunction, y) -> float:
     y = np.asarray(y, dtype=float)
     if y.shape != (f.dim,):
         raise ValueError(f"point has shape {y.shape}, expected ({f.dim},)")
-    return float(f.values(y))
+    return float(f.values(y[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
 # Lp norms
 
 
-def _as_p(p: Union[Exponent, float, int]) -> float:
-    if isinstance(p, Exponent):
-        return float(p)
-    return float(p)
-
-
 def _powerlog_radial_norm(dim: int, p_own: float, eps: float, cutoff: float,
-                          p: float, tail_cross_section=None,
-                          rel_err: float = 1e-10) -> Tuple[float, float]:
-    """||f||_p^p for a power-log profile via the u = log(1/r)
-    substitution; raises DivergentNormError when infinite.
+                          p: float, tail_cross_section=None) -> NormEstimate:
+    """L^p norm of a power-log profile via the u = log(1/r)
+    substitution; raises DivergentNormError when infinite, which
+    includes p = inf.
 
     tail_cross_section(rho), when given, multiplies the radial density
     (used by the split variant where the head block contributes the
@@ -262,7 +328,7 @@ def _powerlog_radial_norm(dim: int, p_own: float, eps: float, cutoff: float,
     # integrand: omega_d * r^(dim-1) * r^(-dim p/p_own) * (log 1/r)^(-beta)
     # near r = 0 the power of r is dim - 1 - dim p/p_own; integrable iff
     # alpha > 0, or alpha == 0 with beta > 1.
-    if alpha < 0 or (alpha == 0 and beta <= 1):
+    if not (alpha > 0 or (alpha == 0 and beta > 1)):
         raise DivergentNormError(
             f"L^{p} norm of power-log descriptor diverges")
     omega = dim * unit_ball_volume(dim)    # surface area of unit sphere
@@ -270,107 +336,40 @@ def _powerlog_radial_norm(dim: int, p_own: float, eps: float, cutoff: float,
     if tail_cross_section is None and alpha == 0:
         # closed form: omega * int_u0^inf u^-beta du
         val = omega * u0 ** (1.0 - beta) / (beta - 1.0)
-        return val, abs(val) * 1e-12
+        err = abs(val) * 1e-12
+    else:
+        def integrand(u):
+            r = math.exp(-u)
+            dens = omega * math.exp(-alpha * u) * u ** (-beta)
+            if tail_cross_section is not None:
+                dens *= tail_cross_section(r)
+            return dens
 
-    def integrand(u):
-        r = math.exp(-u)
-        dens = omega * math.exp(-alpha * u) * u ** (-beta)
-        if tail_cross_section is not None:
-            dens *= tail_cross_section(r)
-        return dens
-
-    val, err = _scipy_quad(integrand, u0, math.inf,
-                           epsabs=0.0, epsrel=rel_err, limit=200)
-    return val, err
+        val, err = _scipy_quad(integrand, u0, math.inf,
+                               epsabs=0.0, epsrel=1e-10, limit=200)
+    return NormEstimate(val ** (1.0 / p),
+                        err * val ** (1.0 / p - 1.0) / p if val > 0 else err,
+                        "quadrature")
 
 
-def lp_norm(f: TestFunction, p, quad=None) -> NormEstimate:
+def lp_norm(f: TestFunction, p) -> NormEstimate:
     """Lp (quasi-)norm of a descriptor; analytic where a closed form
     exists, radial quadrature otherwise.
 
-    p may be an Exponent or a float; p = inf uses the descriptor's
+    p may be an Exponent or a float; p = inf gives the descriptor's
     supremum.  Raises DivergentNormError when the norm is infinite.
     """
-    if isinstance(p, Exponent) and p.is_infinite:
-        return _sup_norm(f)
-    pv = _as_p(p)
-    if math.isinf(pv):
-        return _sup_norm(f)
+    pv = float(p)
     if pv <= 0:
         raise ValueError("p must be positive")
-    rel = getattr(quad, "target_rel_err", 1e-10) if quad is not None else 1e-10
-
-    if isinstance(f, IndicatorBall):
-        vol = unit_ball_volume(f.dim) * f.radius ** f.dim
-        return NormEstimate(vol ** (1.0 / pv), 0.0, "analytic")
-    if isinstance(f, MollifiedDelta):
-        mass = unit_ball_volume(f.dim) * f.width ** f.dim
-        return NormEstimate(f.height * mass ** (1.0 / pv), 0.0, "analytic")
-    if isinstance(f, Constant):
-        if f.value == 0:
-            return NormEstimate(0.0, 0.0, "analytic")
-        raise DivergentNormError("nonzero constant is not in L^p for p < inf")
-    if isinstance(f, Gaussian):
-        # int exp(-p |y|^2 / s^2) dy = (pi s^2 / p)^(n/2)
-        val = (math.pi * f.scale ** 2 / pv) ** (f.dim / (2.0 * pv))
-        return NormEstimate(val, 0.0, "analytic")
-    if isinstance(f, PowerLog):
-        val, err = _powerlog_radial_norm(f.dim, f.p, f.eps, f.cutoff, pv,
-                                         rel_err=rel)
-        return NormEstimate(val ** (1.0 / pv),
-                            err * val ** (1.0 / pv - 1.0) / pv
-                            if val > 0 else err,
-                            "quadrature")
-    if isinstance(f, SplitPowerLog):
-        if f.head == 0:
-            section = None
-        else:
-            vol_head = unit_ball_volume(f.head)
-
-            def section(rho, _v=vol_head, _k=f.head):
-                s2 = 0.25 - rho * rho
-                return _v * s2 ** (_k / 2.0) if s2 > 0 else 0.0
-
-        val, err = _powerlog_radial_norm(f.tail, f.p, f.eps, 0.5, pv,
-                                         tail_cross_section=section,
-                                         rel_err=rel)
-        return NormEstimate(val ** (1.0 / pv),
-                            err * val ** (1.0 / pv - 1.0) / pv
-                            if val > 0 else err,
-                            "quadrature")
-    if isinstance(f, Dilated):
-        base = lp_norm(f.inner, pv, quad)
-        scale = f.a ** (f.dim / pv)
-        return NormEstimate(base.value * scale, base.abs_error * scale,
-                            base.method)
-    if isinstance(f, Translated):
-        return lp_norm(f.inner, pv, quad)
-    raise TypeError(f"no norm rule for {type(f).__name__}")
-
-
-def _sup_norm(f: TestFunction) -> NormEstimate:
-    if isinstance(f, IndicatorBall):
-        return NormEstimate(1.0, 0.0, "analytic")
-    if isinstance(f, MollifiedDelta):
-        return NormEstimate(f.height, 0.0, "analytic")
-    if isinstance(f, Constant):
-        return NormEstimate(abs(f.value), 0.0, "analytic")
-    if isinstance(f, Gaussian):
-        return NormEstimate(1.0, 0.0, "analytic")
-    if isinstance(f, (PowerLog, SplitPowerLog)):
-        raise DivergentNormError("power-log descriptor is unbounded")
-    if isinstance(f, Dilated):
-        return _sup_norm(f.inner)
-    if isinstance(f, Translated):
-        return _sup_norm(f.inner)
-    raise TypeError(f"no sup-norm rule for {type(f).__name__}")
+    return f.norm(pv)
 
 
 def truncated_powerlog_norm(f: PowerLog, p, inner_radius: float) -> float:
     """||f||_p^p over {inner_radius <= |y| <= cutoff}, for divergence
     probes: with eps <= 0 at p = f.p this grows without bound as
     inner_radius -> 0."""
-    pv = _as_p(p)
+    pv = float(p)
     omega = f.dim * unit_ball_volume(f.dim)
     alpha = f.dim - f.dim * pv / f.p
     beta = pv * (1.0 + f.eps) / f.p
@@ -473,9 +472,7 @@ def witness_for(cfg, clause, eps_sweep=DEFAULT_EPS_SWEEP,
         # both exponents in (1, inf): power-log pair; when a rank is
         # deficient, the weight lives only in the deficient block of
         # the reduced coordinates
-        from .matrices import rank as _rank
-        r1 = _rank(cfg.D1)
-        r2 = _rank(cfg.D2)
+        _, _, _, r1, r2, _ = signature(cfg.D1, cfg.D2)
 
         def two_sided(n, r, pf, eps):
             if 0 < r < n:
@@ -506,29 +503,18 @@ _TAGS = {
 
 def descriptor_to_dict(f: TestFunction) -> dict:
     """Serialize a descriptor to {tag, parameters}."""
-    if isinstance(f, IndicatorBall):
-        return {"tag": "indicator-ball", "dim": f.dim, "radius": f.radius,
-                "center": list(f.center)}
-    if isinstance(f, MollifiedDelta):
-        return {"tag": "mollified-delta", "dim": f.dim, "width": f.width}
-    if isinstance(f, PowerLog):
-        return {"tag": "power-log", "dim": f.dim, "p": f.p, "eps": f.eps,
-                "cutoff": f.cutoff}
-    if isinstance(f, SplitPowerLog):
-        return {"tag": "split-power-log", "dim": f.dim, "head": f.head,
-                "tail": f.tail, "p": f.p, "eps": f.eps}
-    if isinstance(f, Constant):
-        return {"tag": "constant", "dim": f.dim, "value": f.value}
-    if isinstance(f, Gaussian):
-        return {"tag": "gaussian", "dim": f.dim, "scale": f.scale}
-    if isinstance(f, Dilated):
-        return {"tag": "dilated", "dim": f.dim, "a": f.a,
-                "inner": descriptor_to_dict(f.inner)}
-    if isinstance(f, Translated):
-        return {"tag": "translated", "dim": f.dim, "z": list(f.z),
-                "mask": None if f.mask is None else list(f.mask),
-                "inner": descriptor_to_dict(f.inner)}
-    raise TypeError(f"cannot serialize {type(f).__name__}")
+    tag = next((t for t, cls in _TAGS.items() if type(f) is cls), None)
+    if tag is None:
+        raise TypeError(f"cannot serialize {type(f).__name__}")
+    d = {"tag": tag}
+    for field in fields(f):
+        v = getattr(f, field.name)
+        if isinstance(v, TestFunction):
+            v = descriptor_to_dict(v)
+        elif isinstance(v, tuple):
+            v = list(v)
+        d[field.name] = v
+    return d
 
 
 def descriptor_from_dict(d: dict) -> TestFunction:
@@ -537,12 +523,9 @@ def descriptor_from_dict(d: dict) -> TestFunction:
     tag = d.pop("tag", None)
     if tag not in _TAGS:
         raise ValueError(f"unknown descriptor tag {tag!r}")
-    if tag == "indicator-ball" and "center" in d and d["center"] is not None:
-        d["center"] = tuple(d["center"])
-    if tag in ("dilated", "translated"):
-        d["inner"] = descriptor_from_dict(d["inner"])
-    if tag == "translated":
-        d["z"] = tuple(d["z"])
-        if d.get("mask") is not None:
-            d["mask"] = tuple(d["mask"])
+    for key, v in d.items():
+        if isinstance(v, dict):
+            d[key] = descriptor_from_dict(v)
+        elif isinstance(v, list):
+            d[key] = tuple(v)
     return _TAGS[tag](**d)

@@ -131,6 +131,16 @@ def rank(M: RationalMatrix) -> int:
     return r
 
 
+def signature(D1: RationalMatrix, D2: RationalMatrix) -> tuple:
+    """Rank signature (n1, n2, m, r1, r2, stacked_rank) of a matrix pair.
+
+    The bilinear characterization depends on (D1, D2) only through
+    these six integers.
+    """
+    stacked = rank(D1.stack(D2))
+    return D1.rows, D2.rows, D1.cols, rank(D1), rank(D2), stacked
+
+
 def _gauss_jordan(M: RationalMatrix):
     """Return (R, P) with P @ M = R in reduced row echelon form.
 
@@ -213,7 +223,8 @@ def single_normal_form(D: RationalMatrix) -> SingleNormalForm:
             elim[i][j] = -u[i, j]
     Q = perm @ RationalMatrix.from_rows(elim)
     form = SingleNormalForm(P=P, Q=Q, r=r)
-    assert form.reconstructs(D)
+    if not form.reconstructs(D):
+        raise RuntimeError("single normal form does not reduce D")
     return form
 
 
@@ -268,12 +279,9 @@ def joint_normal_form(D1: RationalMatrix, D2: RationalMatrix) -> JointNormalForm
     lexicographically first admissible choice, so the output is
     deterministic.
     """
-    if D1.cols != D2.cols:
-        raise ValueError("matrices must share column count")
-    m = D1.cols
-    if rank(D1.stack(D2)) != m:
+    _, _, m, r1, r2, stacked = signature(D1, D2)
+    if stacked != m:
         raise RankDeficientStackError("stacked rank < m")
-    r1, r2 = rank(D1), rank(D2)
 
     # Q1 zeroes the last m - r1 columns of D1.
     q1 = single_normal_form(D1).Q
@@ -293,7 +301,8 @@ def joint_normal_form(D1: RationalMatrix, D2: RationalMatrix) -> JointNormalForm
         if rank(probe) == len(basis) + 1:
             chosen.append(j)
             basis.append(cand)
-    assert len(chosen) == need
+    if len(chosen) != need:
+        raise RuntimeError("no column completion of the expected size")
 
     dependent = [j for j in range(r1) if j not in chosen]  # m - r2 of them
     indep = chosen + last  # r2 columns, in final order
@@ -317,10 +326,11 @@ def joint_normal_form(D1: RationalMatrix, D2: RationalMatrix) -> JointNormalForm
     # Row reductions: both D_i Q now have full-column-rank live blocks.
     g1 = D1 @ Q
     rref1, P1, piv1 = _gauss_jordan(g1)
-    assert piv1 == list(range(r1))
     g2 = D2 @ Q
     rref2, p2_raw, piv2 = _gauss_jordan(g2)
-    assert piv2 == list(range(m - r2, m))
+    if piv1 != list(range(r1)) or piv2 != list(range(m - r2, m)):
+        raise RuntimeError("column reduction left misplaced pivots")
     form = JointNormalForm(P1=P1, P2=p2_raw, Q=Q, r1=r1, r2=r2, m=m)
-    assert form.reconstructs(D1, D2)
+    if not form.reconstructs(D1, D2):
+        raise RuntimeError("joint normal form does not reduce (D1, D2)")
     return form

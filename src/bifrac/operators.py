@@ -36,9 +36,8 @@ import numpy as np
 from scipy.stats import qmc
 
 from .classifier import OperatorConfig
-from .functions import (Constant, Dilated, Gaussian, IndicatorBall,
-                        MollifiedDelta, NormEstimate, PowerLog, SplitPowerLog,
-                        TestFunction, Translated, dilate, lp_norm, translate)
+from .functions import (NormEstimate, TestFunction, dilate, lp_norm,
+                        translate)
 from .matrices import RationalMatrix
 
 
@@ -119,34 +118,6 @@ class ProbeReport:
                 "slope": self.slope,
                 "slope_stderr": self.slope_stderr,
                 "predicted_slope": self.predicted_slope}
-
-
-# ---------------------------------------------------------------------------
-# rough-coordinate extraction for adaptive refinement
-
-
-def feature_breaks(f: TestFunction) -> List[List[float]]:
-    """Per-axis coordinates where the descriptor is discontinuous,
-    singular or sharply concentrated; quadrature refines toward them."""
-    if isinstance(f, IndicatorBall):
-        return [[c - f.radius, c, c + f.radius] for c in f.center]
-    if isinstance(f, MollifiedDelta):
-        return [[-f.width, 0.0, f.width]] * f.dim
-    if isinstance(f, PowerLog):
-        return [[-f.cutoff, 0.0, f.cutoff]] * f.dim
-    if isinstance(f, SplitPowerLog):
-        return [[-0.5, 0.0, 0.5]] * f.dim
-    if isinstance(f, (Constant, Gaussian)):
-        return [[] for _ in range(f.dim)]
-    if isinstance(f, Dilated):
-        return [[v * f.a for v in axis] for axis in feature_breaks(f.inner)]
-    if isinstance(f, Translated):
-        shift = np.asarray(f.z, dtype=float)
-        if f.mask is not None:
-            shift = shift * np.asarray(f.mask, dtype=float)
-        return [[v + s for v in axis]
-                for axis, s in zip(feature_breaks(f.inner), shift)]
-    return [[] for _ in range(f.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +289,7 @@ def eval_bilinear(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
         return f1.values(y1) * f2.values(y2) * _safe_power(base, lam)
 
     value, err = _box_integral(integrand, np.concatenate([s1, s2]),
-                               feature_breaks(f1) + feature_breaks(f2), quad)
+                               f1.breaks() + f2.breaks(), quad)
     return NormEstimate(value, err, "quadrature")
 
 
@@ -337,7 +308,7 @@ def eval_linear(n: int, m: int, D: RationalMatrix, lam, f: TestFunction,
     def integrand(y):
         return f.values(y) * _safe_power(np.linalg.norm(s - y, axis=1), lam_f)
 
-    value, err = _box_integral(integrand, s, feature_breaks(f), quad)
+    value, err = _box_integral(integrand, s, f.breaks(), quad)
     return NormEstimate(value, err, "quadrature")
 
 
@@ -356,8 +327,7 @@ def eval_radial(n: int, m: int, lam, f: TestFunction, x,
     def integrand(y):
         return f.values(y) * _safe_power(ax + np.linalg.norm(y, axis=1), lam_f)
 
-    value, err = _box_integral(integrand, np.zeros(n), feature_breaks(f),
-                               quad)
+    value, err = _box_integral(integrand, np.zeros(n), f.breaks(), quad)
     return NormEstimate(value, err, "quadrature")
 
 

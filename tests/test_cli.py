@@ -82,6 +82,44 @@ def test_sweep_rejects_bad_divisor(tmp_path, capsys):
                  "--mode", "sweep"]) == 2
 
 
+def test_sweep_rejects_shape_mismatch(tmp_path, capsys):
+    cfg = dict(BASE, D1=[[1, 0]], sweep={"divisor": 2})
+    code = main(["--config", write_config(tmp_path, cfg), "--mode", "sweep"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "D1 must be 1x1" in captured.err
+
+
+BILINEAR = dict(BASE, p1="2", p2="2", q="2")
+LINEAR = {"operator": "linear", "n": 1, "m": 1, "D": [[1]],
+          "lambda": "1/2", "x": [0.0],
+          "witnesses": {"f": {"tag": "indicator-ball", "dim": 1}}}
+RADIAL = {"operator": "radial", "n": 1, "m": 1, "lambda": "3/2",
+          "x": [0.0], "witnesses": {"f": {"tag": "gaussian", "dim": 1}}}
+
+
+@pytest.mark.parametrize("mode, cfg, key", [
+    ("classify", dict(BILINEAR, **{"lambda": 0.1}), "lambda"),
+    ("classify", dict(BILINEAR, **{"lambda": 1.5}), "lambda"),
+    ("classify", dict(BILINEAR, p1=2.0), "p1"),
+    ("classify", dict(BILINEAR, p2=4.0), "p2"),
+    ("classify", dict(BILINEAR, q=4.0), "q"),
+    ("classify", dict(BILINEAR, n1="1"), "n1"),
+    ("classify", dict(BILINEAR, n2=1.0), "n2"),
+    ("sweep", dict(BASE, m=0), "m"),
+    ("norm", dict(LINEAR, n=1.5), "n"),
+    ("norm", dict(LINEAR, **{"lambda": 0.5}), "lambda"),
+    ("norm", dict(RADIAL, n="1"), "n"),
+    ("norm", dict(RADIAL, **{"lambda": 1.5}), "lambda"),
+])
+def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
+                                              key):
+    code = main(["--config", write_config(tmp_path, cfg), "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.split()[1].rstrip(":") == key
+
+
 def test_sweep_matches_direct_classification(tmp_path, capsys):
     import random
     from fractions import Fraction

@@ -179,17 +179,34 @@ def test_split_witness_follows_rank_pattern():
 
 
 def test_descriptor_round_trip():
+    ball = {"tag": "indicator-ball", "dim": 2, "radius": 1.0,
+            "center": [0.0, 0.0]}
     cases = [
-        IndicatorBall(dim=2, radius=0.5, center=(1.0, 0.0)),
-        MollifiedDelta(dim=1, width=0.0625),
-        PowerLog(dim=3, p=1.5, eps=0.05),
-        SplitPowerLog(dim=2, head=1, tail=1, p=2.0, eps=0.1),
-        Constant(dim=1, value=2.0),
-        Gaussian(dim=2, scale=0.5),
-        dilate(translate(Gaussian(dim=1), [0.5]), 2.0),
+        (IndicatorBall(dim=2, radius=0.5, center=(1.0, 0.0)),
+         dict(ball, radius=0.5, center=[1.0, 0.0])),
+        (MollifiedDelta(dim=1, width=0.0625),
+         {"tag": "mollified-delta", "dim": 1, "width": 0.0625}),
+        (PowerLog(dim=3, p=1.5, eps=0.05),
+         {"tag": "power-log", "dim": 3, "p": 1.5, "eps": 0.05,
+          "cutoff": 0.5}),
+        (SplitPowerLog(dim=2, head=1, tail=1, p=2.0, eps=0.1),
+         {"tag": "split-power-log", "dim": 2, "head": 1, "tail": 1,
+          "p": 2.0, "eps": 0.1}),
+        (Constant(dim=1, value=2.0),
+         {"tag": "constant", "dim": 1, "value": 2.0}),
+        (Gaussian(dim=2, scale=0.5),
+         {"tag": "gaussian", "dim": 2, "scale": 0.5}),
+        (dilate(translate(Gaussian(dim=1), [0.5]), 2.0),
+         {"tag": "dilated", "dim": 1, "a": 2.0,
+          "inner": {"tag": "translated", "dim": 1, "z": [0.5], "mask": None,
+                    "inner": {"tag": "gaussian", "dim": 1, "scale": 1.0}}}),
+        (translate(IndicatorBall(dim=2), [1.0, 2.0], mask=[True, False]),
+         {"tag": "translated", "dim": 2, "z": [1.0, 2.0],
+          "mask": [True, False], "inner": ball}),
     ]
-    for f in cases:
-        assert descriptor_from_dict(descriptor_to_dict(f)) == f
+    for f, d in cases:
+        assert descriptor_to_dict(f) == d
+        assert descriptor_from_dict(d) == f
 
 
 def test_unknown_tag_rejected():

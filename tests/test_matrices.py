@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bifrac.matrices import (RankDeficientStackError, RationalMatrix,
+from bifrac.matrices import (JointNormalForm, RankDeficientStackError,
+                             RationalMatrix, SingleNormalForm,
                              SingularMatrixError, invert, joint_normal_form,
                              rank, single_normal_form)
 
@@ -50,6 +51,28 @@ def test_rank_invariances():
         P = random_invertible(rng, rows)
         Q = random_invertible(rng, cols)
         assert rank(P @ A @ Q) == rank(A)
+
+
+fractions = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rank_matches_sympy(rows, cols, inner, data):
+    """Products of a rows x inner and an inner x cols factor, so that
+    deficient ranks are common."""
+    sympy = pytest.importorskip("sympy")
+
+    def draw(r, c):
+        return M(data.draw(st.lists(st.lists(fractions, min_size=c,
+                                             max_size=c),
+                                    min_size=r, max_size=r)))
+
+    A = draw(rows, inner) @ draw(inner, cols)
+    reference = sympy.Matrix(rows, cols, [sympy.Rational(v.numerator,
+                                                         v.denominator)
+                                          for v in A.entries])
+    assert rank(A) == reference.rank()
 
 
 # -- inverse ----------------------------------------------------------
@@ -130,6 +153,18 @@ def test_joint_form_skew_pair():
     form = joint_normal_form(D1, D2)
     assert form.block_widths == (1, 0, 1)
     assert form.reconstructs(D1, D2)
+
+
+def test_normal_forms_check_their_result(monkeypatch):
+    monkeypatch.setattr(SingleNormalForm, "reconstructs",
+                        lambda self, D: False)
+    with pytest.raises(RuntimeError):
+        single_normal_form(M([[1, 2], [2, 4]]))
+    monkeypatch.undo()
+    monkeypatch.setattr(JointNormalForm, "reconstructs",
+                        lambda self, D1, D2: False)
+    with pytest.raises(RuntimeError):
+        joint_normal_form(M([[1, 1]]), M([[1, -1]]))
 
 
 def test_joint_form_rejects_deficient_stack():
