@@ -22,7 +22,8 @@ from typing import Optional
 from .classifier import (HypothesisError, check_shapes, classify_bilinear,
                          decide, make_config)
 from .exponents import Exponent, homogeneous_lambda, parse_rational
-from .functions import descriptor_from_dict, witness_for
+from .functions import (DivergentNormError, NoWitnessError,
+                        descriptor_from_dict, witness_for)
 from .matrices import (RankDeficientStackError, RationalMatrix,
                        joint_normal_form, signature, single_normal_form)
 from .operators import (GridSpec, NonIntegrableError, QuadratureSpec,
@@ -106,30 +107,26 @@ def _bilinear_config(cfg: dict):
     return oc, auto
 
 
-def _quad_spec(cfg: dict, args, dim: int) -> QuadratureSpec:
-    spec = default_quad(dim)
-    qc = cfg.get("quad", {})
-    fields = ("scheme", "max_depth", "samples", "truncation_radius",
-              "target_rel_err", "seed", "base_depth")
-    spec = replace(spec, **{k: qc[k] for k in fields if k in qc})
-    if args.depth is not None:
-        spec = replace(spec, max_depth=args.depth)
-    if args.samples is not None:
-        spec = replace(spec, samples=args.samples)
-    if args.trunc is not None:
-        spec = replace(spec, truncation_radius=args.trunc)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    return spec
+def _settings(cfg: dict, key: str, spec):
+    """spec with the config's `key` section applied through
+    dataclasses.replace, so an unknown or invalid setting is refused."""
+    try:
+        return replace(spec, **cfg.get(key, {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
-def _grid_spec(cfg: dict, args) -> GridSpec:
-    gc = cfg.get("grid", {})
-    grid = GridSpec(**{k: gc[k] for k in ("half_width", "points_per_axis")
-                       if k in gc})
-    if args.grid is not None:
-        grid = replace(grid, points_per_axis=args.grid)
-    return grid
+def _quad_spec(cfg: dict, dim: int) -> QuadratureSpec:
+    return _settings(cfg, "quad", default_quad(dim))
+
+
+def _point(cfg: dict, m: int):
+    """The evaluation point `x`, which must have m entries."""
+    x = cfg["x"]
+    if not isinstance(x, list) or len(x) != m:
+        raise ConfigError(f"x: expected a list of m = {m} numbers, "
+                          f"got {x!r}")
+    return [float(v) for v in x]
 
 
 def _witness(cfg: dict, key: str):
@@ -216,8 +213,8 @@ def cmd_sweep(cfg: dict, args) -> int:
 
 def cmd_probe(cfg: dict, args) -> int:
     oc, auto = _bilinear_config(cfg)
-    quad = _quad_spec(cfg, args, oc.n1 + oc.n2)
-    grid = _grid_spec(cfg, args)
+    quad = _quad_spec(cfg, oc.n1 + oc.n2)
+    grid = _settings(cfg, "grid", GridSpec())
     verdict = classify_bilinear(oc)
     record = {"verdict": verdict.to_record(),
               "lambda_resolved": str(oc.lam) if auto else None}
@@ -253,27 +250,25 @@ def cmd_norm(cfg: dict, args) -> int:
     operator = cfg.get("operator", "bilinear")
     if operator == "bilinear":
         oc, _ = _bilinear_config(cfg)
-        quad = _quad_spec(cfg, args, oc.n1 + oc.n2)
+        quad = _quad_spec(cfg, oc.n1 + oc.n2)
         f1 = _witness(cfg, "f1")
         f2 = _witness(cfg, "f2")
         if "x" in cfg:
-            est = eval_bilinear(oc, f1, f2, [float(v) for v in cfg["x"]],
-                                quad)
+            est = eval_bilinear(oc, f1, f2, _point(cfg, oc.m), quad)
         else:
-            est = lq_norm_on_grid(oc, f1, f2, _grid_spec(cfg, args), quad)
+            grid = _settings(cfg, "grid", GridSpec())
+            est = lq_norm_on_grid(oc, f1, f2, grid, quad)
     elif operator == "linear":
         _require(cfg, "n", "m", "D", "lambda", "x")
         n, m = _dimension(cfg, "n"), _dimension(cfg, "m")
-        quad = _quad_spec(cfg, args, n)
         est = eval_linear(n, m, RationalMatrix.from_rows(cfg["D"]),
                           _exact(cfg, "lambda"), _witness(cfg, "f"),
-                          [float(v) for v in cfg["x"]], quad)
+                          _point(cfg, m), _quad_spec(cfg, n))
     elif operator == "radial":
         _require(cfg, "n", "m", "lambda", "x")
         n, m = _dimension(cfg, "n"), _dimension(cfg, "m")
-        quad = _quad_spec(cfg, args, n)
         est = eval_radial(n, m, _exact(cfg, "lambda"), _witness(cfg, "f"),
-                          [float(v) for v in cfg["x"]], quad)
+                          _point(cfg, m), _quad_spec(cfg, n))
     else:
         raise ConfigError(f"unknown operator {operator!r}")
     _emit(_dump_json(est.to_record()), args.out)
@@ -293,15 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=sorted(_COMMANDS),
                         help="command mode (overrides the config's mode)")
     parser.add_argument("--out", help="also write the output to this path")
-    parser.add_argument("--seed", type=int, help="quadrature seed override")
-    parser.add_argument("--depth", type=int,
-                        help="adaptive max depth override")
-    parser.add_argument("--samples", type=int,
-                        help="quasi-random sample count override")
-    parser.add_argument("--grid", type=int,
-                        help="grid points per axis override")
-    parser.add_argument("--trunc", type=float,
-                        help="truncation box half-width override")
     return parser
 
 
@@ -320,8 +306,8 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[mode](cfg, args)
     except (ConfigError, HypothesisError, NonIntegrableError,
-            RankDeficientStackError, ValueError, TypeError,
-            ZeroDivisionError) as exc:
+            RankDeficientStackError, DivergentNormError, NoWitnessError,
+            ValueError, TypeError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

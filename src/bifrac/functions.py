@@ -436,11 +436,13 @@ def witness_for(cfg, clause, eps_sweep=DEFAULT_EPS_SWEEP,
                 for a in (0.5, 1.0, 2.0, 4.0)]
 
     if clause == Clause.EXPONENT_RANGE_FAILED:
-        if a1 == 1 and a2 == 1:
-            return [(IndicatorBall(dim=n1), IndicatorBall(dim=n2), None)]
-        # one exponent at an endpoint: pair an indicator with the
-        # slowly-decaying tail that stays in the other space
-        return [(IndicatorBall(dim=n1), Constant(dim=n2, value=1.0), None)]
+        # a constant stays in L^inf only: it goes on a side with p = inf,
+        # paired with an indicator; otherwise both sides are indicators
+        if a2 == 0:
+            return [(IndicatorBall(dim=n1), Constant(dim=n2, value=1.0), None)]
+        if a1 == 0:
+            return [(Constant(dim=n1, value=1.0), IndicatorBall(dim=n2), None)]
+        return [(IndicatorBall(dim=n1), IndicatorBall(dim=n2), None)]
 
     if clause == Clause.Q_MUST_BE_FINITE:
         # dual bump h concentrating at the output origin

@@ -4,17 +4,20 @@ Two quadrature schemes share one contract: integrate a locally
 integrable singular integrand over a truncation box and return a value
 with an error estimate.
 
-* adaptive-dyadic: a uniform base partition is refined dyadically
-  toward the kernel's singular point and toward every coordinate where
-  an input descriptor is rough (bump edges, power-law origins).  In
-  dimension <= 2 the partition is a tensor product of per-axis
-  refinements, so a bump that is narrow in one coordinate but extended
-  in the others is still resolved; in higher dimension cells adjacent
-  to the singular point split isotropically into 2^d children.  Every
-  leaf gets a centroid value plus one 2^d-subcell refinement pass;
-  the reported value is the Richardson combination and the error
-  estimate is the coarse/fine discrepancy.  A centroid that lands
-  exactly on the singular point contributes 0 (measure zero).
+* adaptive-dyadic: one builder, `_dyadic_cells`, makes every
+  partition: uniform dyadic splits to a base depth, then only boxes
+  whose own-width neighborhood holds a target point keep splitting.
+  Targets are of two kinds.  In dimension <= 2 the partition is a
+  tensor product of 1-d partitions whose targets are the singular
+  coordinate and the input descriptors' breaks on that axis (bump
+  edges, power-law origins), so a bump that is narrow in one
+  coordinate but extended in the others is still resolved.  In higher
+  dimension one d-dimensional partition has the singular point as its
+  only target, and cells near it split into 2^d children.  Every leaf
+  gets a centroid value plus one 2^d-subcell refinement pass; the
+  reported value is the Richardson combination and the error estimate
+  is the coarse/fine discrepancy.  A centroid that lands exactly on the
+  singular point contributes 0 (measure zero).
 * quasi-random: scrambled Sobol points pushed through a per-axis
   power map centered at the singular point, which concentrates samples
   near the singularity and whose Jacobian absorbs the kernel blow-up.
@@ -51,15 +54,16 @@ class QuadratureSpec:
     max_depth: int = 14
     samples: int = 1 << 14
     truncation_radius: float = 8.0
-    target_rel_err: float = 1e-3
     seed: int = 0
     base_depth: Optional[int] = None  # uniform pre-split; default by dim
 
     def __post_init__(self):
+        if self.scheme not in ("adaptive", "qmc"):
+            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if self.max_depth < 1 or self.samples < 1:
             raise ValueError("max_depth and samples must be >= 1")
-        if self.truncation_radius <= 0 or self.target_rel_err <= 0:
-            raise ValueError("truncation_radius and target_rel_err must be > 0")
+        if self.truncation_radius <= 0:
+            raise ValueError("truncation_radius must be > 0")
 
 
 _DEFAULT_MAX_DEPTH = {1: 20, 2: 14, 3: 11, 4: 9}
@@ -124,29 +128,6 @@ class ProbeReport:
 # core integrators
 
 
-def _axis_cells(half: float, specials: Sequence[float],
-                base_depth: int, max_depth: int) -> np.ndarray:
-    """1-d dyadic partition of [-half, half]: uniform to base_depth,
-    then only intervals whose own-width neighborhood contains a
-    special coordinate keep splitting.  Returns a (k, 2) array."""
-    segs = [(-half, half)]
-    leaves: List[Tuple[float, float]] = []
-    for level in range(max_depth):
-        nxt = []
-        for a, b in segs:
-            w = b - a
-            if level < base_depth or any(a - w <= s <= b + w
-                                         for s in specials):
-                mid = 0.5 * (a + b)
-                nxt.append((a, mid))
-                nxt.append((mid, b))
-            else:
-                leaves.append((a, b))
-        segs = nxt
-    leaves.extend(segs)
-    return np.array(leaves)
-
-
 def _leaf_sum(func: Callable[[np.ndarray], np.ndarray],
               lo: np.ndarray, hi: np.ndarray) -> Tuple[float, float]:
     """Centroid value plus one 2^d refinement pass over leaf cells;
@@ -164,43 +145,65 @@ def _leaf_sum(func: Callable[[np.ndarray], np.ndarray],
     return value, err
 
 
-def _tensor_adaptive(func, specials_per_axis, half, base_depth, max_depth):
-    axes = [_axis_cells(half, sp, base_depth, max_depth)
-            for sp in specials_per_axis]
-    lo_grids = np.meshgrid(*[a[:, 0] for a in axes], indexing="ij")
-    hi_grids = np.meshgrid(*[a[:, 1] for a in axes], indexing="ij")
-    lo = np.stack([g.ravel() for g in lo_grids], axis=-1)
-    hi = np.stack([g.ravel() for g in hi_grids], axis=-1)
-    return _leaf_sum(func, lo, hi)
+def _dyadic_cells(lo, hi, targets, base_depth: int,
+                  max_depth: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Dyadic partition of the box [lo, hi] in R^d.
 
-
-def _isotropic_adaptive(func, singular, half, base_depth, max_depth):
-    """Point-refinement scheme for higher dimensions: cells in the
-    3^d neighborhood of the singular point split into 2^d children."""
-    d = singular.size
-    lo = np.full((1, d), -half)
-    hi = np.full((1, d), half)
+    Every box splits into 2^d children at its midpoint 0.5 (lo + hi)
+    until base_depth; after that only boxes whose own-width
+    neighborhood contains a target point (rows of `targets`) keep
+    splitting, up to max_depth levels.  Returns the leaves' (k, d) lower
+    and upper corners, level by level, children in lexicographic order.
+    """
+    lo = np.asarray(lo, dtype=float)[None, :]
+    hi = np.asarray(hi, dtype=float)[None, :]
+    d = lo.shape[1]
+    targets = np.asarray(targets, dtype=float).reshape(-1, d)[None, :, :]
+    upper = np.array(list(itertools.product((False, True), repeat=d)))
     leaves_lo: List[np.ndarray] = []
     leaves_hi: List[np.ndarray] = []
-    corners = np.array(list(itertools.product((0.0, 0.5), repeat=d)))
     for level in range(max_depth):
-        width = hi - lo
-        split = np.all((singular >= lo - width) & (singular <= hi + width),
-                       axis=1)
         if level < base_depth:
             split = np.ones(len(lo), dtype=bool)
+        else:
+            width = hi - lo
+            near = ((targets >= (lo - width)[:, None, :])
+                    & (targets <= (hi + width)[:, None, :]))
+            split = np.any(np.all(near, axis=2), axis=1)
         leaves_lo.append(lo[~split])
         leaves_hi.append(hi[~split])
-        slo, swid = lo[split], width[split]
-        lo = (slo[:, None, :] + corners[None, :, :] * swid[:, None, :]
-              ).reshape(-1, d)
-        hi = lo + np.repeat(swid / 2.0, len(corners), axis=0)
-        if len(lo) == 0:
-            break
+        slo, shi = lo[split, None, :], hi[split, None, :]
+        mid = 0.5 * (slo + shi)
+        lo = np.where(upper, mid, slo).reshape(-1, d)
+        hi = np.where(upper, shi, mid).reshape(-1, d)
     leaves_lo.append(lo)
     leaves_hi.append(hi)
-    return _leaf_sum(func, np.concatenate(leaves_lo),
-                     np.concatenate(leaves_hi))
+    return np.concatenate(leaves_lo), np.concatenate(leaves_hi)
+
+
+def _partition(singular: np.ndarray, breaks: List[List[float]],
+               quad: QuadratureSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Leaves of the adaptive partition of the truncation box.
+
+    In dimension <= 2 it is the tensor product of 1-d partitions, each
+    refined toward the singular coordinate and that axis's breaks; in
+    higher dimension one partition refined toward the singular point.
+    """
+    d = singular.size
+    half = quad.truncation_radius
+    base = _base_depth(quad, d)
+    if d > 2:
+        return _dyadic_cells(np.full(d, -half), np.full(d, half), singular,
+                             base, quad.max_depth)
+    axes = [_dyadic_cells([-half], [half], [s] + list(b), base,
+                          quad.max_depth)
+            for s, b in zip(singular, breaks)]
+
+    def product(corners):
+        grids = np.meshgrid(*[c[:, 0] for c in corners], indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=-1)
+
+    return product([lo for lo, _ in axes]), product([hi for _, hi in axes])
 
 
 def _qmc_integral(func: Callable[[np.ndarray], np.ndarray],
@@ -235,23 +238,12 @@ def _qmc_integral(func: Callable[[np.ndarray], np.ndarray],
     return value, abs(value - half)
 
 
-def _box_integral(func, singular: np.ndarray,
-                  feature_axes: List[List[float]],
+def _box_integral(func, singular: np.ndarray, breaks: List[List[float]],
                   quad: QuadratureSpec) -> Tuple[float, float]:
-    d = singular.size
-    if quad.scheme == "adaptive":
-        b = _base_depth(quad, d)
-        if d <= 2:
-            specials = [[float(singular[j])] + list(feature_axes[j])
-                        for j in range(d)]
-            return _tensor_adaptive(func, specials, quad.truncation_radius,
-                                    b, quad.max_depth)
-        return _isotropic_adaptive(func, singular, quad.truncation_radius,
-                                   b, quad.max_depth)
     if quad.scheme == "qmc":
         return _qmc_integral(func, singular, quad.truncation_radius,
                              quad.samples, quad.seed)
-    raise ValueError(f"unknown quadrature scheme {quad.scheme!r}")
+    return _leaf_sum(func, *_partition(singular, breaks, quad))
 
 
 def _safe_power(base: np.ndarray, lam: float) -> np.ndarray:
@@ -410,7 +402,7 @@ def dilation_slope(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
                         grid, quad, workers=workers) for a in a_list]
     ratios = [r for r, _ in pairs]
     if any(r <= 0 for r in ratios):
-        raise ArithmeticError("nonpositive norm ratio in slope probe")
+        raise ValueError("nonpositive norm ratio in slope probe")
     xs = np.log(np.asarray(a_list, dtype=float))
     ys = np.log(np.asarray(ratios))
     if len(a_list) > 2:

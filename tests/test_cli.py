@@ -111,6 +111,13 @@ RADIAL = {"operator": "radial", "n": 1, "m": 1, "lambda": "3/2",
     ("norm", dict(LINEAR, **{"lambda": 0.5}), "lambda"),
     ("norm", dict(RADIAL, n="1"), "n"),
     ("norm", dict(RADIAL, **{"lambda": 1.5}), "lambda"),
+    ("norm", dict(LINEAR, x=[0.5, 1.0]), "x"),
+    ("norm", dict(RADIAL, x=[]), "x"),
+    ("norm", dict(BILINEAR, **{"lambda": "1/2"}, x=[0.5, 1.0],
+                  witnesses={"f1": {"tag": "gaussian", "dim": 1},
+                             "f2": {"tag": "gaussian", "dim": 1}}), "x"),
+    ("norm", dict(RADIAL, quad={"scheme": "simpson"}), "quad"),
+    ("norm", dict(RADIAL, quad=[3]), "quad"),
 ])
 def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
                                               key):
@@ -215,3 +222,58 @@ def test_probe_mode_reports_slope_and_blowup(tmp_path, capsys):
     record = json.loads(out)
     assert abs(record["dilation"]["slope"]) < 0.1
     assert "blowup" not in record  # bounded config has no blowup probe
+
+
+@pytest.mark.parametrize("mode, cfg, section, name", [
+    ("norm", dict(LINEAR, quad={"max_dept": 3, "seed": 1}), "quad",
+     "max_dept"),
+    ("probe", dict(BILINEAR, **{"lambda": "3/2"}, grid={"points": 9}),
+     "grid", "points"),
+])
+def test_unknown_setting_is_refused_by_name(tmp_path, capsys, mode, cfg,
+                                            section, name):
+    code = main(["--config", write_config(tmp_path, cfg), "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.split()[1] == section + ":"
+    assert repr(name) in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--depth", "--seed", "--samples",
+                                  "--grid", "--trunc"])
+def test_removed_override_flags_exit_two(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", write_config(tmp_path, LINEAR), "--mode", "norm",
+              flag, "3"])
+    assert exc.value.code == 2
+
+
+def test_exponent_range_probe_without_infinite_p2(tmp_path, capsys):
+    """An ExponentRangeFailed config whose constant witness belongs on
+    side 1 gets a blowup record instead of a divergent-norm crash."""
+    cfg = {"n1": 1, "n2": 1, "m": 1, "D1": [[1]], "D2": [[0]],
+           "p1": "inf", "p2": "2", "q": "4", "lambda": "7/4",
+           "grid": {"points_per_axis": 9}}
+    code, out = run_cli(["--config", write_config(tmp_path, cfg),
+                         "--mode", "probe"], capsys)
+    assert code == 0
+    record = json.loads(out)
+    assert record["verdict"]["clause"] == "ExponentRangeFailed"
+    assert "blowup" in record
+
+
+@pytest.mark.parametrize("f1, message", [
+    # the witness misses the truncation box, so every ratio is zero
+    ({"tag": "indicator-ball", "dim": 1, "center": [100.0]},
+     "nonpositive norm ratio"),
+    # a constant has no finite L^2 norm
+    ({"tag": "constant", "dim": 1, "value": 1.0}, "not in L^p"),
+])
+def test_numeric_probe_failures_exit_two(tmp_path, capsys, f1, message):
+    cfg = dict(BILINEAR, **{"lambda": "3/2"}, a_list=[0.5, 1.0],
+               witnesses={"f1": f1, "f2": {"tag": "gaussian", "dim": 1}},
+               grid={"points_per_axis": 5})
+    code = main(["--config", write_config(tmp_path, cfg), "--mode", "probe"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err

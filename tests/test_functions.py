@@ -145,6 +145,10 @@ def unbounded_examples():
     yield make_config(1, 1, 2, [[1, 0]], [[2, 0]], 2, 2, 2, Fraction(1))
     yield make_config(2, 2, 1, [[1], [0]], [[0], [1]], 3, 3, 1,
                       Fraction(11, 3))
+    # ExponentRangeFailed with the constant on side 1 or on neither side
+    yield make_config(1, 1, 1, [[1]], [[0]], "inf", 2, 4, Fraction(7, 4))
+    yield make_config(1, 1, 1, [[1]], [[1]], "inf", 1, 2, Fraction(3, 2))
+    yield make_config(1, 1, 1, [[1]], [[1]], "1/2", 2, 2, Fraction(1))
 
 
 def test_witness_families_exist_and_are_norm_finite():

@@ -6,14 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bifrac.classifier import make_config
 from bifrac.functions import (Constant, Gaussian, IndicatorBall,
                               MollifiedDelta, PowerLog, dilate)
 from bifrac.matrices import RationalMatrix
 from bifrac.operators import (GridSpec, NonIntegrableError, QuadratureSpec,
-                              default_quad, dilation_slope, eval_bilinear,
-                              eval_linear, eval_radial, lq_norm_on_grid,
+                              _dyadic_cells, _partition, default_quad,
+                              dilation_slope, eval_bilinear, eval_linear,
+                              eval_radial, lq_norm_on_grid,
                               predicted_dilation_slope,
                               translation_covariance_defect)
 
@@ -71,6 +73,74 @@ def test_non_integrable_order_rejected():
     with pytest.raises(NonIntegrableError):
         eval_linear(1, 1, RationalMatrix.from_rows([[1]]), Fraction(3, 2),
                     ball(), [0.0])
+
+
+# -- adaptive partition -----------------------------------------------
+
+
+def axis_cells_reference(half, specials, base_depth, max_depth):
+    """The former per-segment 1-d refinement loop, kept as the reference
+    for the vectorised builder."""
+    segs = [(-half, half)]
+    leaves = []
+    for level in range(max_depth):
+        nxt = []
+        for a, b in segs:
+            w = b - a
+            if level < base_depth or any(a - w <= s <= b + w
+                                         for s in specials):
+                mid = 0.5 * (a + b)
+                nxt.append((a, mid))
+                nxt.append((mid, b))
+            else:
+                leaves.append((a, b))
+        segs = nxt
+    leaves.extend(segs)
+    return np.array(leaves)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_partition_tiles_the_truncation_box(d):
+    quad = default_quad(d)
+    singular = np.linspace(0.3, -0.7, d)
+    breaks = [[-1.0, 1.0]] * d
+    lo, hi = _partition(singular, breaks, quad)
+    assert np.all(lo >= -8.0) and np.all(hi <= 8.0) and np.all(hi > lo)
+    assert float(np.sum(np.prod(hi - lo, axis=1))) == 16.0 ** d
+
+
+def test_partition_1d_leaves_abut():
+    lo, hi = _partition(np.array([0.3]), [[-1.0, 1.0]], default_quad(1))
+    order = np.argsort(lo[:, 0])
+    lo, hi = lo[order, 0], hi[order, 0]
+    assert lo[0] == -8.0 and hi[-1] == 8.0
+    assert np.array_equal(hi[:-1], lo[1:])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_singular_leaf_has_finest_width(d):
+    quad = default_quad(d, max_depth=7, base_depth=2)
+    singular = np.full(d, 0.3)
+    lo, hi = _partition(singular, [[]] * d, quad)
+    inside = np.all((lo <= singular) & (singular < hi), axis=1)
+    assert inside.sum() == 1
+    assert np.all(hi[inside] - lo[inside] == 16.0 * 2.0 ** -7)
+
+
+@given(st.sampled_from([8.0, 3.3, 1.0]),
+       st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+       st.integers(0, 6), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_dyadic_cells_1d_matches_segment_loop(half, specials, base, depth):
+    base = min(base, depth)
+    lo, hi = _dyadic_cells([-half], [half], specials, base, depth)
+    ref = axis_cells_reference(half, specials, base, depth)
+    assert np.array_equal(np.concatenate([lo, hi], axis=1), ref)
+
+
+def test_quadrature_spec_rejects_unknown_scheme():
+    with pytest.raises(ValueError, match="scheme"):
+        QuadratureSpec(scheme="simpson")
 
 
 # -- structural identities --------------------------------------------
