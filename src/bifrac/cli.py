@@ -233,7 +233,8 @@ def cmd_probe(cfg: dict, args) -> int:
     if not verdict.bounded:
         family = witness_for(oc, verdict.clause)
         ratios = blowup_probe(oc, family, grid=grid, quad=quad)
-        monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
+        monotone = len(ratios) >= 2 and all(
+            b > a for a, b in zip(ratios, ratios[1:]))
         record["blowup"] = {"ratios": ratios,
                             "monotone_growth": monotone}
     text = _dump_json(record)

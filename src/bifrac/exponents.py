@@ -48,10 +48,6 @@ class Exponent:
         return cls(1 / p)
 
     @classmethod
-    def from_recip(cls, r) -> "Exponent":
-        return cls(Fraction(r))
-
-    @classmethod
     def infinity(cls) -> "Exponent":
         return cls(Fraction(0))
 
@@ -60,10 +56,6 @@ class Exponent:
     @property
     def is_infinite(self) -> bool:
         return self.recip == 0
-
-    @property
-    def is_one(self) -> bool:
-        return self.recip == 1
 
     def is_strictly_between_one_and_inf(self) -> bool:
         return 0 < self.recip < 1

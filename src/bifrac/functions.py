@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import quad as _scipy_quad
 
+from .classifier import Clause
 from .matrices import signature
 
 
@@ -394,97 +395,71 @@ class NoWitnessError(LookupError):
     """No counterexample family is defined for this clause."""
 
 
+def side(n, a, p, eps, r):
+    """Extremal input on a side of dimension n with exponent p = 1/a: a
+    bump of width 1/4 when p = 1, a constant when p = inf, otherwise
+    the power-log extremal of p with damping eps, a split weight in
+    the last n - r reduced coordinates when 0 < r < n."""
+    if a == 1:
+        return MollifiedDelta(dim=n, width=0.25)
+    if a == 0:
+        return Constant(dim=n, value=1.0)
+    if 0 < r < n:
+        return SplitPowerLog(dim=n, head=r, tail=n - r, p=p, eps=eps)
+    return PowerLog(dim=n, p=p, eps=eps)
+
+
+_CASE_4 = (Clause.CASE_4A, Clause.CASE_4B, Clause.CASE_4C, Clause.CASE_4D)
+
+
 def witness_for(cfg, clause, eps_sweep=DEFAULT_EPS_SWEEP,
                 delta_sweep=DEFAULT_DELTA_SWEEP):
     """Counterexample family for an Unbounded clause of cfg.
 
-    Returns a list of (f1, f2, h) triples (h may be None), swept over
-    the family parameter (delta for concentration families, eps for
-    power-log families).  The families follow the necessity
-    constructions: concentrating bumps where an exponent equals 1,
-    constants where it is infinite, power-log extremals at interior
-    exponents, and split power-log weights where only a coordinate
-    block is deficient.
+    Returns a list of (f1, f2) input pairs along which the norm ratio
+    grows: bumps concentrating over delta_sweep when an exponent is 1,
+    power-log extremals damped less and less over eps_sweep, dilated
+    balls for a homogeneity failure, and one fixed pair where the
+    failure needs no sweep (RankStackDeficient, ExponentRangeFailed,
+    QMustBeFinite).  The family is built with the leading side first:
+    for Case4* the p = 1 side, else the p = inf side, else side 1; for
+    ExponentRangeFailed the constant goes on side 2 when p2 = inf, else
+    on side 1 when p1 = inf.  A config leading with side 2 is built
+    swapped and its pairs are swapped back.
     """
-    from .classifier import Clause  # local import to avoid cycles
-
-    n1, n2, m = cfg.n1, cfg.n2, cfg.m
     a1, a2 = cfg.p1.recip, cfg.p2.recip
-    p1f = float(cfg.p1)
-    p2f = float(cfg.p2)
+    if clause in _CASE_4:
+        flip = a1 != 1 and (a2 == 1 or a2 == 0 != a1)
+    else:
+        flip = clause == Clause.EXPONENT_RANGE_FAILED and a1 == 0 != a2
+    if flip:
+        return [(f1, f2) for f2, f1 in
+                witness_for(cfg.swapped(), clause, eps_sweep, delta_sweep)]
 
-    def side_witness(n, a, pf, eps):
-        # extremal input on one side, by exponent position
-        if a == 1:  # p = 1: concentrating bump (swept separately)
-            return MollifiedDelta(dim=n, width=0.25)
-        if a == 0:  # p = inf: constant
-            return Constant(dim=n, value=1.0)
-        return PowerLog(dim=n, p=pf, eps=eps)
-
-    if clause == Clause.ACCEPTED:
-        raise NoWitnessError("no counterexample exists for a bounded config")
-
+    n1, n2 = cfg.n1, cfg.n2
+    p1, p2 = float(cfg.p1), float(cfg.p2)
+    ball1, ball2 = IndicatorBall(dim=n1), IndicatorBall(dim=n2)
     if clause == Clause.RANK_STACK_DEFICIENT:
-        # output depends on fewer than m coordinates; any fixed bump pair
-        # witnesses the divergent L^q norm over growing truncations
-        return [(IndicatorBall(dim=n1), IndicatorBall(dim=n2), None)]
-
+        # output depends on fewer than m coordinates; a fixed pair has a
+        # divergent L^q norm over growing truncations
+        return [(ball1, ball2)]
     if clause == Clause.HOMOGENEITY_FAILED:
-        # the dilation sweep itself is the witness family
-        ball1, ball2 = IndicatorBall(dim=n1), IndicatorBall(dim=n2)
-        return [(dilate(ball1, a), dilate(ball2, a), None)
+        return [(dilate(ball1, a), dilate(ball2, a))
                 for a in (0.5, 1.0, 2.0, 4.0)]
-
     if clause == Clause.EXPONENT_RANGE_FAILED:
-        # a constant stays in L^inf only: it goes on a side with p = inf,
-        # paired with an indicator; otherwise both sides are indicators
-        if a2 == 0:
-            return [(IndicatorBall(dim=n1), Constant(dim=n2, value=1.0), None)]
-        if a1 == 0:
-            return [(Constant(dim=n1, value=1.0), IndicatorBall(dim=n2), None)]
-        return [(IndicatorBall(dim=n1), IndicatorBall(dim=n2), None)]
-
+        # a constant stays in L^inf only
+        return [(ball1, Constant(dim=n2, value=1.0) if a2 == 0 else ball2)]
     if clause == Clause.Q_MUST_BE_FINITE:
-        # dual bump h concentrating at the output origin
-        return [(side_witness(n1, a1, p1f, 0.1),
-                 side_witness(n2, a2, p2f, 0.1),
-                 MollifiedDelta(dim=m, width=d)) for d in delta_sweep]
-
-    if clause in (Clause.CASE_4A, Clause.CASE_4B, Clause.CASE_4C,
-                  Clause.CASE_4D):
-        if a1 == 1 or a2 == 1:
-            # concentrate the p = 1 side; the partner carries the
-            # power-log extremal of its own exponent
-            if a1 == 1:
-                return [(MollifiedDelta(dim=n1, width=d),
-                         side_witness(n2, a2, p2f, 0.1), None)
-                        for d in delta_sweep]
-            return [(side_witness(n1, a1, p1f, 0.1),
-                     MollifiedDelta(dim=n2, width=d), None)
-                    for d in delta_sweep]
-        if a1 == 0 or a2 == 0:
-            const_side = 1 if a1 == 0 else 2
-            if const_side == 1:
-                return [(Constant(dim=n1, value=1.0),
-                         PowerLog(dim=n2, p=p2f, eps=e), None)
-                        for e in eps_sweep]
-            return [(PowerLog(dim=n1, p=p1f, eps=e),
-                     Constant(dim=n2, value=1.0), None)
-                    for e in eps_sweep]
-        # both exponents in (1, inf): power-log pair; when a rank is
-        # deficient, the weight lives only in the deficient block of
-        # the reduced coordinates
-        _, _, _, r1, r2, _ = signature(cfg.D1, cfg.D2)
-
-        def two_sided(n, r, pf, eps):
-            if 0 < r < n:
-                return SplitPowerLog(dim=n, head=r, tail=n - r, p=pf, eps=eps)
-            return PowerLog(dim=n, p=pf, eps=eps)
-
-        h = IndicatorBall(dim=m) if clause != Clause.CASE_4A else None
-        return [(two_sided(n1, r1, p1f, e), two_sided(n2, r2, p2f, e), h)
+        return [(side(n1, a1, p1, 0.1, n1), side(n2, a2, p2, 0.1, n2))]
+    if clause in _CASE_4:
+        if a1 == 1:
+            return [(MollifiedDelta(dim=n1, width=d),
+                     side(n2, a2, p2, 0.1, n2)) for d in delta_sweep]
+        # a power-log pair lives in the deficient blocks of the reduced
+        # coordinates; a power-log facing a constant fills its side
+        r1, r2 = signature(cfg.D1, cfg.D2)[3:5] if a1 != 0 else (n1, n2)
+        return [(side(n1, a1, p1, e, r1), side(n2, a2, p2, e, r2))
                 for e in eps_sweep]
-
     raise NoWitnessError(f"no witness family defined for clause {clause}")
 
 

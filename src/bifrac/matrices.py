@@ -205,16 +205,22 @@ def _block_identity(rows: int, cols: int, id_cols: Sequence[int]) -> RationalMat
     return RationalMatrix.from_rows(ent) if rows else RationalMatrix.zero(rows, cols)
 
 
+def _permutation(order: Sequence[int]) -> RationalMatrix:
+    """Permutation matrix E with (M @ E).column(k) == M.column(order[k])."""
+    m = len(order)
+    return RationalMatrix.from_rows(
+        [[Fraction(1) if order[k] == i else Fraction(0) for k in range(m)]
+         for i in range(m)])
+
+
 def single_normal_form(D: RationalMatrix) -> SingleNormalForm:
     """Rank factorization P D Q = block identity of rank r = rank(D)."""
     rref, P, pivots = _gauss_jordan(D)
     r = len(pivots)
     m = D.cols
     # Column permutation bringing pivot columns to the front.
-    order = list(pivots) + [j for j in range(m) if j not in pivots]
-    perm = RationalMatrix.from_rows(
-        [[Fraction(1) if order[k] == i else Fraction(0) for k in range(m)]
-         for i in range(m)])
+    perm = _permutation(list(pivots) + [j for j in range(m)
+                                        if j not in pivots])
     u = rref @ perm  # top-left r x r is now I_r
     # Clear the top-right block by column elimination.
     elim = RationalMatrix.identity(m).to_lists()
@@ -256,21 +262,6 @@ class JointNormalForm:
                 and (self.P2 @ D2 @ self.Q).entries == want2.entries)
 
 
-def _solve_columns(basis_cols: List[List[Fraction]], target: List[Fraction]) -> List[Fraction]:
-    """Solve sum_k c_k basis_k = target exactly (basis has full column rank)."""
-    n = len(target)
-    k = len(basis_cols)
-    aug = RationalMatrix.from_rows(
-        [[basis_cols[j][i] for j in range(k)] + [target[i]] for i in range(n)])
-    rref, _, pivots = _gauss_jordan(aug)
-    if k in pivots:
-        raise ValueError("target not in span of basis")
-    coeffs = [Fraction(0)] * k
-    for row_idx, col in enumerate(pivots):
-        coeffs[col] = rref[row_idx, k]
-    return coeffs
-
-
 def joint_normal_form(D1: RationalMatrix, D2: RationalMatrix) -> JointNormalForm:
     """Joint block reduction of a matrix pair with full-rank stack.
 
@@ -283,44 +274,30 @@ def joint_normal_form(D1: RationalMatrix, D2: RationalMatrix) -> JointNormalForm
     if stacked != m:
         raise RankDeficientStackError("stacked rank < m")
 
-    # Q1 zeroes the last m - r1 columns of D1.
+    # Q1 zeroes the last m - r1 columns of D1, so those columns of
+    # E = D2 Q1 are independent.  Gauss-Jordan on E's columns in the
+    # order (last m - r1 | first r1) takes them as the first pivots,
+    # then the lexicographically first completion from the first r1;
+    # its RREF writes every other column in terms of the pivots.
     q1 = single_normal_form(D1).Q
-    e = (D2 @ q1)  # n2 x m; last m - r1 columns are independent
     last = list(range(r1, m))
-
-    # Greedy lexicographically-first completion from the first r1 columns.
-    chosen: List[int] = []
-    need = r1 + r2 - m
-    basis = [e.column(j) for j in last]
-    for j in range(r1):
-        if len(chosen) == need:
-            break
-        cand = e.column(j)
-        probe = RationalMatrix.from_rows(
-            [[col[i] for col in basis + [cand]] for i in range(e.rows)])
-        if rank(probe) == len(basis) + 1:
-            chosen.append(j)
-            basis.append(cand)
-    if len(chosen) != need:
+    cols = last + list(range(r1))
+    rref, _, pivots = _gauss_jordan(D2 @ q1 @ _permutation(cols))
+    indep = [cols[k] for k in pivots]
+    chosen = indep[m - r1:]
+    if indep[:m - r1] != last or len(chosen) != r1 + r2 - m:
         raise RuntimeError("no column completion of the expected size")
-
     dependent = [j for j in range(r1) if j not in chosen]  # m - r2 of them
-    indep = chosen + last  # r2 columns, in final order
 
     # Column elimination: replace each dependent column by its residual
     # against the independent set (zero in the D2 block), then permute
     # to (dependent | chosen | last).
     elim = RationalMatrix.identity(m).to_lists()
-    indep_cols = [e.column(j) for j in indep]
     for j in dependent:
-        coeffs = _solve_columns(indep_cols, e.column(j))
-        for c, k in zip(coeffs, indep):
-            elim[k][j] = -c
-    order = dependent + chosen + last
-    perm = RationalMatrix.from_rows(
-        [[Fraction(1) if order[k] == i else Fraction(0) for k in range(m)]
-         for i in range(m)])
-    q2 = RationalMatrix.from_rows(elim) @ perm
+        for row, k in enumerate(indep):
+            elim[k][j] = -rref[row, cols.index(j)]
+    q2 = RationalMatrix.from_rows(elim) @ _permutation(dependent + chosen
+                                                       + last)
     Q = q1 @ q2
 
     # Row reductions: both D_i Q now have full-column-rank live blocks.

@@ -48,6 +48,14 @@ class NonIntegrableError(ValueError):
     """Kernel exponent too large for local integrability."""
 
 
+def _check_int(name: str, value, low: Optional[int] = None) -> None:
+    """Raise ValueError unless value is an int (bools refused) >= low."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     scheme: str = "adaptive"          # "adaptive" | "qmc"
@@ -60,8 +68,11 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.scheme not in ("adaptive", "qmc"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.max_depth < 1 or self.samples < 1:
-            raise ValueError("max_depth and samples must be >= 1")
+        _check_int("max_depth", self.max_depth, 1)
+        _check_int("samples", self.samples, 1)
+        _check_int("seed", self.seed, 0)
+        if self.base_depth is not None:
+            _check_int("base_depth", self.base_depth, 0)
         if self.truncation_radius <= 0:
             raise ValueError("truncation_radius must be > 0")
 
@@ -90,8 +101,9 @@ class GridSpec:
     def __post_init__(self):
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
-        if self.points_per_axis < 3 or self.points_per_axis % 2 == 0:
-            raise ValueError("points_per_axis must be an odd integer >= 3")
+        _check_int("points_per_axis", self.points_per_axis, 3)
+        if self.points_per_axis % 2 == 0:
+            raise ValueError("points_per_axis must be odd")
 
     def points(self, m: int) -> np.ndarray:
         axis = np.linspace(-self.half_width, self.half_width,
@@ -463,12 +475,8 @@ def blowup_probe(cfg: OperatorConfig, family,
                  grid: Optional[GridSpec] = None,
                  quad: Optional[QuadratureSpec] = None,
                  workers: Optional[int] = None) -> List[float]:
-    """Norm ratios along a witness family (ordered by decreasing
-    concentration parameter); monotone growth is the finite-probe
-    signature of unboundedness."""
-    out = []
-    for member in family:
-        f1, f2 = member[0], member[1]
-        r, _ = norm_ratio(cfg, f1, f2, grid, quad, workers=workers)
-        out.append(r)
-    return out
+    """Norm ratios along a family of (f1, f2) pairs (ordered by
+    decreasing concentration parameter); monotone growth is the
+    finite-probe signature of unboundedness."""
+    return [norm_ratio(cfg, f1, f2, grid, quad, workers=workers)[0]
+            for f1, f2 in family]

@@ -118,6 +118,12 @@ RADIAL = {"operator": "radial", "n": 1, "m": 1, "lambda": "3/2",
                              "f2": {"tag": "gaussian", "dim": 1}}), "x"),
     ("norm", dict(RADIAL, quad={"scheme": "simpson"}), "quad"),
     ("norm", dict(RADIAL, quad=[3]), "quad"),
+    ("norm", dict(LINEAR, quad={"max_depth": 3.5}), "quad"),
+    ("probe", dict(BILINEAR, **{"lambda": "3/2"},
+                   grid={"points_per_axis": 5.0}), "grid"),
+    ("norm", dict(LINEAR, quad={"base_depth": -3}), "quad"),
+    ("norm", dict(LINEAR, quad={"samples": True, "scheme": "qmc"}), "quad"),
+    ("norm", dict(LINEAR, quad={"seed": -1, "scheme": "qmc"}), "quad"),
 ])
 def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
                                               key):
@@ -260,6 +266,19 @@ def test_exponent_range_probe_without_infinite_p2(tmp_path, capsys):
     record = json.loads(out)
     assert record["verdict"]["clause"] == "ExponentRangeFailed"
     assert "blowup" in record
+
+
+def test_single_ratio_blowup_is_not_monotone_growth(tmp_path, capsys):
+    """A family of one pair gives one ratio, which shows no growth."""
+    cfg = dict(BASE, p1="inf", p2="1", q="2", **{"lambda": "3/2"},
+               grid={"points_per_axis": 9})
+    code, out = run_cli(["--config", write_config(tmp_path, cfg),
+                         "--mode", "probe"], capsys)
+    assert code == 0
+    record = json.loads(out)
+    assert record["verdict"]["clause"] == "ExponentRangeFailed"
+    assert len(record["blowup"]["ratios"]) == 1
+    assert record["blowup"]["monotone_growth"] is False
 
 
 @pytest.mark.parametrize("f1, message", [

@@ -1,6 +1,8 @@
 """Witness descriptors: pointwise values, norms, transforms and the
 counterexample families."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -157,7 +159,7 @@ def test_witness_families_exist_and_are_norm_finite():
         assert not verdict.bounded
         family = witness_for(cfg, verdict.clause)
         assert len(family) >= 1
-        for f1, f2, _h in family:
+        for f1, f2 in family:
             assert f1.dim == cfg.n1 and f2.dim == cfg.n2
             assert lp_norm(f1, cfg.p1).value < float("inf")
             assert lp_norm(f2, cfg.p2).value < float("inf")
@@ -174,9 +176,146 @@ def test_split_witness_follows_rank_pattern():
                       2, 3, 3, Fraction(7, 3))
     verdict = classify_bilinear(cfg)
     family = witness_for(cfg, Clause.CASE_4D)
-    f1, f2, _h = family[0]
+    f1, f2 = family[0]
     assert isinstance(f1, SplitPowerLog) and f1.head == 1
     assert isinstance(f2, SplitPowerLog) and f2.head == 1
+
+
+# One unbounded config per clause and per leading side: the p = 1 side,
+# the p = inf side or a power-log pair, on side 1 or side 2, with
+# rectangular pairs whose power-logs split by rank (or do not, facing a
+# bump or a constant).
+FAMILY_BANK = [
+    ("4a-delta-1", (1, 1, 1, [[1]], [[1]], "1", "2", "1", "3/2")),
+    ("4a-delta-2", (1, 1, 1, [[1]], [[1]], "2", "1", "1", "3/2")),
+    ("4a-delta-1-wide", (1, 2, 1, [[1]], [[1], [0]], "1", "2", "1", "2")),
+    ("4a-constant-1", (1, 2, 1, [[1]], [[1], [0]], "inf", "2", "2", "5/2")),
+    ("4a-constant-2", (2, 1, 1, [[1], [0]], [[1]], "2", "inf", "2", "5/2")),
+    ("4a-pair", (1, 2, 1, [[1]], [[1], [0]], "2", "2", "1", "5/2")),
+    ("4b-delta-1", (1, 1, 1, [[0]], [[1]], "1", "2", "1", "3/2")),
+    ("4b-delta-2", (1, 1, 1, [[0]], [[1]], "2", "1", "1", "3/2")),
+    ("4b-pair", (1, 1, 1, [[0]], [[1]], "2", "2", "2", "3/2")),
+    ("4c-delta-1", (1, 3, 2, [[1, 1]], [[1, 0], [0, 1], [0, 0]],
+                    "1", "2", "1", "7/2")),
+    ("4c-delta-2", (1, 3, 2, [[1, 1]], [[1, 0], [0, 1], [0, 0]],
+                    "2", "1", "1", "5/2")),
+    ("4c-constant-1", (1, 3, 2, [[1, 1]], [[1, 0], [0, 1], [0, 0]],
+                       "inf", "2", "2", "7/2")),
+    ("4c-constant-2", (3, 1, 2, [[1, 0], [0, 1], [0, 0]], [[1, 1]],
+                       "2", "inf", "2", "7/2")),
+    ("4c-pair", (2, 3, 2, [[1, 0], [0, 0]], [[1, 0], [0, 1], [0, 0]],
+                 "2", "2", "1", "9/2")),
+    ("4d-delta-1", (1, 1, 2, [[1, 0]], [[0, 1]], "1", "2", "2", "3/2")),
+    ("4d-delta-2", (1, 1, 2, [[1, 0]], [[0, 1]], "2", "1", "2", "3/2")),
+    ("4d-pair", (2, 2, 2, [[1, 0], [0, 0]], [[0, 1], [0, 0]],
+                 "2", "2", "4/3", "7/2")),
+    ("homogeneity", (1, 1, 1, [[1]], [[1]], "2", "2", "2", "1")),
+    ("stack-deficient", (1, 1, 2, [[1, 0]], [[2, 0]], "2", "2", "2", "1")),
+    ("range-constant-1", (1, 1, 1, [[1]], [[1]], "inf", "1", "2", "3/2")),
+    ("range-constant-2", (1, 1, 1, [[0]], [[1]], "1", "inf", "inf", "1")),
+    ("range-balls", (1, 1, 1, [[1]], [[1]], "1/2", "2", "2", "1")),
+    ("q-finite-delta-1", (1, 1, 1, [[1]], [[1]], "1", "2", "inf", "1/2")),
+    ("q-finite-delta-2", (1, 1, 1, [[1]], [[1]], "2", "1", "inf", "1/2")),
+    ("q-finite-constant", (1, 1, 1, [[0]], [[1]], "inf", "2", "inf", "3/2")),
+]
+
+# (clause, members, first tags, SHA-256 of the JSON list of
+# [descriptor_to_dict(f1), descriptor_to_dict(f2)] pairs, sort_keys=True),
+# recorded from the implementation whose members were (f1, f2, h)
+# triples: h dropped, and QMustBeFinite taken as its first member (its
+# three members differed only in h).
+FAMILY_DIGESTS = {
+    "4a-delta-1": ("Case4a", 3, "mollified-delta", "power-log",
+        "d4d64b4d1999fc3feb366f75b2e8ce11"
+        "1019be41ffd49cee5d706f95c863ffbe"),
+    "4a-delta-2": ("Case4a", 3, "power-log", "mollified-delta",
+        "170dd1a1efd3f8a989eeed02a29dc2c2"
+        "f75486806e48353f49536adebfdcdcb1"),
+    "4a-delta-1-wide": ("Case4a", 3, "mollified-delta", "power-log",
+        "b69f4e80ceeb176d29804e5148448f84"
+        "ea7d1fb23af37bee1dcaf28a81968a63"),
+    "4a-constant-1": ("Case4a", 4, "constant", "power-log",
+        "871f3b95bd48ebd9ae1ec316ef0800f8"
+        "a015ca94ac5b23b2c10c8ae2bd0227e5"),
+    "4a-constant-2": ("Case4a", 4, "power-log", "constant",
+        "a2e077601c5dd522a066eb3ae0c35c13"
+        "a76105ecb0061bfa20035c2a0334b477"),
+    "4a-pair": ("Case4a", 4, "power-log", "split-power-log",
+        "8dbfc5ccc75dce5a8462bac45fa1b0fa"
+        "ab80f1f02184cb68575a0825ded47379"),
+    "4b-delta-1": ("Case4b", 3, "mollified-delta", "power-log",
+        "d4d64b4d1999fc3feb366f75b2e8ce11"
+        "1019be41ffd49cee5d706f95c863ffbe"),
+    "4b-delta-2": ("Case4b", 3, "power-log", "mollified-delta",
+        "170dd1a1efd3f8a989eeed02a29dc2c2"
+        "f75486806e48353f49536adebfdcdcb1"),
+    "4b-pair": ("Case4b", 4, "power-log", "power-log",
+        "bddce171bad642bd0582de7b4a388077"
+        "cd4f25f817dbaaed46050d4fbb702efc"),
+    "4c-delta-1": ("Case4c", 3, "mollified-delta", "power-log",
+        "21a98fa265213e4882c064e81fdcf7ca"
+        "8036346f365d1cde675607c1ed6a6bce"),
+    "4c-delta-2": ("Case4c", 3, "power-log", "mollified-delta",
+        "48a4a00904eb30bf35d11ffb52079b41"
+        "f80f8c5c345862f15f7651e69cc9a088"),
+    "4c-constant-1": ("Case4c", 4, "constant", "power-log",
+        "f970674aef5d66c98d7004cd12ab23ac"
+        "1d523cddeb4f3eb558b258c255569a2a"),
+    "4c-constant-2": ("Case4c", 4, "power-log", "constant",
+        "9c930ed1a2ef542220441468a8ad0894"
+        "876c8bba6ecc61b4b78edc812ac8def1"),
+    "4c-pair": ("Case4c", 4, "split-power-log", "split-power-log",
+        "e7d523cd60ba2be652c943c3c052a8a5"
+        "057f896e80b9825f312e5209e0b61675"),
+    "4d-delta-1": ("Case4d", 3, "mollified-delta", "power-log",
+        "d4d64b4d1999fc3feb366f75b2e8ce11"
+        "1019be41ffd49cee5d706f95c863ffbe"),
+    "4d-delta-2": ("Case4d", 3, "power-log", "mollified-delta",
+        "170dd1a1efd3f8a989eeed02a29dc2c2"
+        "f75486806e48353f49536adebfdcdcb1"),
+    "4d-pair": ("Case4d", 4, "split-power-log", "split-power-log",
+        "ac5f851c82f98b90e976c68816f37af4"
+        "cbce788447ffc5c6436c198f1a42fbcb"),
+    "homogeneity": ("HomogeneityFailed", 4, "dilated", "dilated",
+        "7ab5a93f8996f9a73f04570e563027e5"
+        "074455e698aa8aa5b9f6699856608bba"),
+    "stack-deficient": ("RankStackDeficient", 1, "indicator-ball", "indicator-ball",
+        "6a2a4cbab6876b553af0e97deb9ee597"
+        "06f7a23dc32ed6697a35c06c625fef48"),
+    "range-constant-1": ("ExponentRangeFailed", 1, "constant", "indicator-ball",
+        "a609c044ee8a05c8ea88ef97e66bab65"
+        "7d06cb5f60744a4039e105274eb421a9"),
+    "range-constant-2": ("ExponentRangeFailed", 1, "indicator-ball", "constant",
+        "e25333169619ad06e706401d8ce71944"
+        "7152d803d44c93f8ec825dc794a63876"),
+    "range-balls": ("ExponentRangeFailed", 1, "indicator-ball", "indicator-ball",
+        "6a2a4cbab6876b553af0e97deb9ee597"
+        "06f7a23dc32ed6697a35c06c625fef48"),
+    "q-finite-delta-1": ("QMustBeFinite", 1, "mollified-delta", "power-log",
+        "60858dd13f527990711b917f1b396649"
+        "b93f73807c271bb3207108453524e880"),
+    "q-finite-delta-2": ("QMustBeFinite", 1, "power-log", "mollified-delta",
+        "30e47bc9d7ebc0927e5536e634c76a72"
+        "bfb7947a2baab6537999838c92271ae3"),
+    "q-finite-constant": ("QMustBeFinite", 1, "constant", "power-log",
+        "38bf4d1f0771b1f8bb72e0199f015927"
+        "d106bdc9d6264bd620e820eb1f600822"),
+}
+
+
+@pytest.mark.parametrize("name, args", FAMILY_BANK)
+def test_witness_families_are_pinned(name, args):
+    cfg = make_config(*args)
+    verdict = classify_bilinear(cfg)
+    family = witness_for(cfg, verdict.clause)
+    clause, members, tag1, tag2, digest = FAMILY_DIGESTS[name]
+    dicts = [[descriptor_to_dict(f1), descriptor_to_dict(f2)]
+             for f1, f2 in family]
+    assert verdict.clause.value == clause
+    assert len(family) == members
+    assert (dicts[0][0]["tag"], dicts[0][1]["tag"]) == (tag1, tag2)
+    text = json.dumps(dicts, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
 
 
 # -- serialization ----------------------------------------------------
