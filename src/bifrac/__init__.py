@@ -17,9 +17,9 @@ from .functions import (Constant, Dilated, DivergentNormError, Gaussian,
                         Translated, dilate, evaluate, lp_norm, translate,
                         witness_for)
 from .operators import (GridSpec, NonIntegrableError, ProbeReport,
-                        QuadratureSpec, blowup_probe, default_quad,
-                        dilation_slope, eval_bilinear, eval_linear,
-                        eval_radial, lq_norm_on_grid, norm_ratio,
+                        QuadratureSpec, blowup_probe, dilation_slope,
+                        eval_bilinear, eval_linear, eval_radial,
+                        lq_norm_on_grid, norm_ratio,
                         predicted_dilation_slope,
                         translation_covariance_defect)
 

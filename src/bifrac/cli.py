@@ -27,7 +27,7 @@ from .functions import (DivergentNormError, NoWitnessError,
 from .matrices import (RankDeficientStackError, RationalMatrix,
                        joint_normal_form, signature, single_normal_form)
 from .operators import (GridSpec, NonIntegrableError, QuadratureSpec,
-                        blowup_probe, default_quad, dilation_slope,
+                        _check_real, blowup_probe, dilation_slope,
                         eval_bilinear, eval_linear, eval_radial,
                         lq_norm_on_grid)
 
@@ -116,17 +116,25 @@ def _settings(cfg: dict, key: str, spec):
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _quad_spec(cfg: dict, dim: int) -> QuadratureSpec:
-    return _settings(cfg, "quad", default_quad(dim))
+def _numbers(cfg: dict, key: str, positive: bool = False):
+    """cfg[key] as a list of finite floats (> 0 if positive), naming the
+    entry on failure."""
+    values = cfg[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"{key}: expected a list of numbers, "
+                          f"got {values!r}")
+    for i, v in enumerate(values):
+        _check_real(f"{key}[{i}]", v, positive)
+    return [float(v) for v in values]
 
 
 def _point(cfg: dict, m: int):
     """The evaluation point `x`, which must have m entries."""
-    x = cfg["x"]
-    if not isinstance(x, list) or len(x) != m:
+    x = _numbers(cfg, "x")
+    if len(x) != m:
         raise ConfigError(f"x: expected a list of m = {m} numbers, "
-                          f"got {x!r}")
-    return [float(v) for v in x]
+                          f"got {cfg['x']!r}")
+    return x
 
 
 def _witness(cfg: dict, key: str):
@@ -213,18 +221,16 @@ def cmd_sweep(cfg: dict, args) -> int:
 
 def cmd_probe(cfg: dict, args) -> int:
     oc, auto = _bilinear_config(cfg)
-    quad = _quad_spec(cfg, oc.n1 + oc.n2)
+    quad = _settings(cfg, "quad", QuadratureSpec())
     grid = _settings(cfg, "grid", GridSpec())
     verdict = classify_bilinear(oc)
     record = {"verdict": verdict.to_record(),
               "lambda_resolved": str(oc.lam) if auto else None}
     csv_text = None
     if "a_list" in cfg:
-        if oc.q.is_infinite:
-            raise ConfigError("slope probes require q < inf")
         f1 = _witness(cfg, "f1")
         f2 = _witness(cfg, "f2")
-        report = dilation_slope(oc, f1, f2, [float(a) for a in cfg["a_list"]],
+        report = dilation_slope(oc, f1, f2, _numbers(cfg, "a_list", True),
                                 grid=grid, quad=quad)
         record["dilation"] = report.to_record()
         csv_text = _dump_csv(("a", "ratio", "err"),
@@ -249,9 +255,9 @@ def cmd_probe(cfg: dict, args) -> int:
 
 def cmd_norm(cfg: dict, args) -> int:
     operator = cfg.get("operator", "bilinear")
+    quad = _settings(cfg, "quad", QuadratureSpec())
     if operator == "bilinear":
         oc, _ = _bilinear_config(cfg)
-        quad = _quad_spec(cfg, oc.n1 + oc.n2)
         f1 = _witness(cfg, "f1")
         f2 = _witness(cfg, "f2")
         if "x" in cfg:
@@ -264,12 +270,12 @@ def cmd_norm(cfg: dict, args) -> int:
         n, m = _dimension(cfg, "n"), _dimension(cfg, "m")
         est = eval_linear(n, m, RationalMatrix.from_rows(cfg["D"]),
                           _exact(cfg, "lambda"), _witness(cfg, "f"),
-                          _point(cfg, m), _quad_spec(cfg, n))
+                          _point(cfg, m), quad)
     elif operator == "radial":
         _require(cfg, "n", "m", "lambda", "x")
         n, m = _dimension(cfg, "n"), _dimension(cfg, "m")
         est = eval_radial(n, m, _exact(cfg, "lambda"), _witness(cfg, "f"),
-                          _point(cfg, m), _quad_spec(cfg, n))
+                          _point(cfg, m), quad)
     else:
         raise ConfigError(f"unknown operator {operator!r}")
     _emit(_dump_json(est.to_record()), args.out)

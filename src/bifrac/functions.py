@@ -387,8 +387,8 @@ def truncated_powerlog_norm(f: PowerLog, p, inner_radius: float) -> float:
 # ---------------------------------------------------------------------------
 # counterexample families
 
-DEFAULT_EPS_SWEEP = (0.4, 0.2, 0.1, 0.05)
-DEFAULT_DELTA_SWEEP = (0.25, 0.0625, 0.015625)
+EPS_SWEEP = (0.4, 0.2, 0.1, 0.05)
+DELTA_SWEEP = (0.25, 0.0625, 0.015625)
 
 
 class NoWitnessError(LookupError):
@@ -412,13 +412,12 @@ def side(n, a, p, eps, r):
 _CASE_4 = (Clause.CASE_4A, Clause.CASE_4B, Clause.CASE_4C, Clause.CASE_4D)
 
 
-def witness_for(cfg, clause, eps_sweep=DEFAULT_EPS_SWEEP,
-                delta_sweep=DEFAULT_DELTA_SWEEP):
+def witness_for(cfg, clause):
     """Counterexample family for an Unbounded clause of cfg.
 
     Returns a list of (f1, f2) input pairs along which the norm ratio
-    grows: bumps concentrating over delta_sweep when an exponent is 1,
-    power-log extremals damped less and less over eps_sweep, dilated
+    grows: bumps concentrating over DELTA_SWEEP when an exponent is 1,
+    power-log extremals damped less and less over EPS_SWEEP, dilated
     balls for a homogeneity failure, and one fixed pair where the
     failure needs no sweep (RankStackDeficient, ExponentRangeFailed,
     QMustBeFinite).  The family is built with the leading side first:
@@ -433,8 +432,7 @@ def witness_for(cfg, clause, eps_sweep=DEFAULT_EPS_SWEEP,
     else:
         flip = clause == Clause.EXPONENT_RANGE_FAILED and a1 == 0 != a2
     if flip:
-        return [(f1, f2) for f2, f1 in
-                witness_for(cfg.swapped(), clause, eps_sweep, delta_sweep)]
+        return [(f1, f2) for f2, f1 in witness_for(cfg.swapped(), clause)]
 
     n1, n2 = cfg.n1, cfg.n2
     p1, p2 = float(cfg.p1), float(cfg.p2)
@@ -454,12 +452,12 @@ def witness_for(cfg, clause, eps_sweep=DEFAULT_EPS_SWEEP,
     if clause in _CASE_4:
         if a1 == 1:
             return [(MollifiedDelta(dim=n1, width=d),
-                     side(n2, a2, p2, 0.1, n2)) for d in delta_sweep]
+                     side(n2, a2, p2, 0.1, n2)) for d in DELTA_SWEEP]
         # a power-log pair lives in the deficient blocks of the reduced
         # coordinates; a power-log facing a constant fills its side
         r1, r2 = signature(cfg.D1, cfg.D2)[3:5] if a1 != 0 else (n1, n2)
         return [(side(n1, a1, p1, e, r1), side(n2, a2, p2, e, r2))
-                for e in eps_sweep]
+                for e in EPS_SWEEP]
     raise NoWitnessError(f"no witness family defined for clause {clause}")
 
 

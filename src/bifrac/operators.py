@@ -13,17 +13,20 @@ with an error estimate.
   edges, power-law origins), so a bump that is narrow in one
   coordinate but extended in the others is still resolved.  In higher
   dimension one d-dimensional partition has the singular point as its
-  only target, and cells near it split into 2^d children.  Every leaf
-  gets a centroid value plus one 2^d-subcell refinement pass; the
-  reported value is the Richardson combination and the error estimate
-  is the coarse/fine discrepancy.  A centroid that lands exactly on the
+  only target, and cells near it split into 2^d children.  Both
+  depths come from `QuadratureSpec.depths(d)`: a depth the spec leaves
+  unset takes the default for the integration dimension d, and the
+  base depth is capped at the maximum.  Every leaf gets a centroid
+  value plus one 2^d-subcell refinement pass; the reported value is
+  the Richardson combination and the error estimate is the
+  coarse/fine discrepancy.  A centroid that lands exactly on the
   singular point contributes 0 (measure zero).
 * quasi-random: scrambled Sobol points pushed through a per-axis
   power map centered at the singular point, which concentrates samples
   near the singularity and whose Jacobian absorbs the kernel blow-up.
 
 All evaluations are pure functions of (descriptors, spec); grid-point
-results are combined by index so concurrent execution is
+results keep the order of the points, so concurrent execution is
 bit-reproducible.
 """
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,41 +59,47 @@ def _check_int(name: str, value, low: Optional[int] = None) -> None:
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def _check_real(name: str, value, positive: bool = False) -> None:
+    """Raise ValueError unless value is a finite int or float (bools
+    refused), and > 0 if positive."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (positive and value <= 0)):
+        bound = " > 0" if positive else ""
+        raise ValueError(f"{name} must be a finite number{bound}, "
+                         f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     scheme: str = "adaptive"          # "adaptive" | "qmc"
-    max_depth: int = 14
+    max_depth: Optional[int] = None   # None: default by dimension
     samples: int = 1 << 14
     truncation_radius: float = 8.0
     seed: int = 0
-    base_depth: Optional[int] = None  # uniform pre-split; default by dim
+    base_depth: Optional[int] = None  # uniform pre-split; None: by dim
 
     def __post_init__(self):
         if self.scheme not in ("adaptive", "qmc"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-        _check_int("max_depth", self.max_depth, 1)
+        if self.max_depth is not None:
+            _check_int("max_depth", self.max_depth, 1)
         _check_int("samples", self.samples, 1)
         _check_int("seed", self.seed, 0)
         if self.base_depth is not None:
             _check_int("base_depth", self.base_depth, 0)
-        if self.truncation_radius <= 0:
-            raise ValueError("truncation_radius must be > 0")
+        _check_real("truncation_radius", self.truncation_radius, True)
 
-
-_DEFAULT_MAX_DEPTH = {1: 20, 2: 14, 3: 11, 4: 9}
-_DEFAULT_BASE_DEPTH = {1: 8, 2: 6, 3: 4, 4: 3}
-
-
-def default_quad(dim: int, **overrides) -> QuadratureSpec:
-    """Spec with depths tuned to the integration dimension."""
-    base = QuadratureSpec(max_depth=_DEFAULT_MAX_DEPTH.get(dim, 8))
-    return replace(base, **overrides) if overrides else base
-
-
-def _base_depth(quad: QuadratureSpec, dim: int) -> int:
-    if quad.base_depth is not None:
-        return min(quad.base_depth, quad.max_depth)
-    return min(_DEFAULT_BASE_DEPTH.get(dim, 2), quad.max_depth)
+    def depths(self, dim: int) -> Tuple[int, int]:
+        """(base_depth, max_depth) in dimension dim: each depth left
+        unset comes from the dimension's default, and the base depth is
+        capped at the maximum."""
+        base, top = {1: (8, 20), 2: (6, 14), 3: (4, 11),
+                     4: (3, 9)}.get(dim, (2, 8))
+        if self.max_depth is not None:
+            top = self.max_depth
+        if self.base_depth is not None:
+            base = self.base_depth
+        return min(base, top), top
 
 
 @dataclass(frozen=True)
@@ -99,8 +108,7 @@ class GridSpec:
     points_per_axis: int = 65
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        _check_real("half_width", self.half_width, True)
         _check_int("points_per_axis", self.points_per_axis, 3)
         if self.points_per_axis % 2 == 0:
             raise ValueError("points_per_axis must be odd")
@@ -108,8 +116,6 @@ class GridSpec:
     def points(self, m: int) -> np.ndarray:
         axis = np.linspace(-self.half_width, self.half_width,
                            self.points_per_axis)
-        if m == 1:
-            return axis[:, None]
         grids = np.meshgrid(*([axis] * m), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
@@ -203,12 +209,11 @@ def _partition(singular: np.ndarray, breaks: List[List[float]],
     """
     d = singular.size
     half = quad.truncation_radius
-    base = _base_depth(quad, d)
+    base, top = quad.depths(d)
     if d > 2:
         return _dyadic_cells(np.full(d, -half), np.full(d, half), singular,
-                             base, quad.max_depth)
-    axes = [_dyadic_cells([-half], [half], [s] + list(b), base,
-                          quad.max_depth)
+                             base, top)
+    axes = [_dyadic_cells([-half], [half], [s] + list(b), base, top)
             for s, b in zip(singular, breaks)]
 
     def product(corners):
@@ -218,12 +223,14 @@ def _partition(singular: np.ndarray, breaks: List[List[float]],
     return product([lo for lo, _ in axes]), product([hi for _, hi in axes])
 
 
+_WARP_POWER = 3.0  # exponent of the per-axis power map
+
+
 def _qmc_integral(func: Callable[[np.ndarray], np.ndarray],
                   singular: np.ndarray,
                   half_width: float,
                   samples: int,
-                  seed: int,
-                  warp_power: float = 3.0) -> Tuple[float, float]:
+                  seed: int) -> Tuple[float, float]:
     """Quasi-random integral over [-R, R]^d with an importance warp.
 
     Each axis maps t in [0, 1) to the box through a signed power map
@@ -241,8 +248,9 @@ def _qmc_integral(func: Callable[[np.ndarray], np.ndarray],
     side = np.where(u >= 0,
                     (half_width - s)[None, :],
                     (s + half_width)[None, :])
-    y = s[None, :] + np.sign(u) * au ** warp_power * side
-    jac = np.prod(2.0 * warp_power * au ** (warp_power - 1.0) * side, axis=1)
+    y = s[None, :] + np.sign(u) * au ** _WARP_POWER * side
+    jac = np.prod(2.0 * _WARP_POWER * au ** (_WARP_POWER - 1.0) * side,
+                  axis=1)
 
     vals = func(y) * jac
     value = float(vals.mean())
@@ -251,11 +259,13 @@ def _qmc_integral(func: Callable[[np.ndarray], np.ndarray],
 
 
 def _box_integral(func, singular: np.ndarray, breaks: List[List[float]],
-                  quad: QuadratureSpec) -> Tuple[float, float]:
+                  quad: QuadratureSpec) -> NormEstimate:
     if quad.scheme == "qmc":
-        return _qmc_integral(func, singular, quad.truncation_radius,
-                             quad.samples, quad.seed)
-    return _leaf_sum(func, *_partition(singular, breaks, quad))
+        value, err = _qmc_integral(func, singular, quad.truncation_radius,
+                                   quad.samples, quad.seed)
+    else:
+        value, err = _leaf_sum(func, *_partition(singular, breaks, quad))
+    return NormEstimate(value, err, "quadrature")
 
 
 def _safe_power(base: np.ndarray, lam: float) -> np.ndarray:
@@ -271,7 +281,7 @@ def _safe_power(base: np.ndarray, lam: float) -> np.ndarray:
 
 
 def eval_bilinear(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
-                  x, quad: Optional[QuadratureSpec] = None) -> NormEstimate:
+                  x, quad: QuadratureSpec = QuadratureSpec()) -> NormEstimate:
     """I(f1, f2)(x): integral of f1(y1) f2(y2) against the kernel
     (|D1 x - y1| + |D2 x - y2|)^-lam over the truncation box."""
     n1, n2 = cfg.n1, cfg.n2
@@ -281,7 +291,6 @@ def eval_bilinear(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
             f"kernel order {cfg.lam} not locally integrable in R^{n1 + n2}")
     if f1.dim != n1 or f2.dim != n2:
         raise ValueError("witness dimensions do not match the config")
-    quad = quad or default_quad(n1 + n2)
     x = np.asarray(x, dtype=float).reshape(cfg.m)
     s1 = cfg.D1.to_float() @ x
     s2 = cfg.D2.to_float() @ x
@@ -292,47 +301,42 @@ def eval_bilinear(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
                 + np.linalg.norm(s2 - y2, axis=1))
         return f1.values(y1) * f2.values(y2) * _safe_power(base, lam)
 
-    value, err = _box_integral(integrand, np.concatenate([s1, s2]),
-                               f1.breaks() + f2.breaks(), quad)
-    return NormEstimate(value, err, "quadrature")
+    return _box_integral(integrand, np.concatenate([s1, s2]),
+                         f1.breaks() + f2.breaks(), quad)
 
 
 def eval_linear(n: int, m: int, D: RationalMatrix, lam, f: TestFunction,
-                x, quad: Optional[QuadratureSpec] = None) -> NormEstimate:
+                x, quad: QuadratureSpec = QuadratureSpec()) -> NormEstimate:
     """Generalized Riesz potential: integral of f(y) |Dx - y|^-lam."""
     lam_f = float(lam)
     if not 0 < lam_f < n:
         raise NonIntegrableError(f"order {lam} not locally integrable in R^{n}")
     if f.dim != n:
         raise ValueError("input dimension does not match n")
-    quad = quad or default_quad(n)
     x = np.asarray(x, dtype=float).reshape(m)
     s = D.to_float() @ x
 
     def integrand(y):
         return f.values(y) * _safe_power(np.linalg.norm(s - y, axis=1), lam_f)
 
-    value, err = _box_integral(integrand, s, f.breaks(), quad)
-    return NormEstimate(value, err, "quadrature")
+    return _box_integral(integrand, s, f.breaks(), quad)
 
 
 def eval_radial(n: int, m: int, lam, f: TestFunction, x,
-                quad: Optional[QuadratureSpec] = None) -> NormEstimate:
+                quad: QuadratureSpec = QuadratureSpec()) -> NormEstimate:
     """Radial operator: integral of f(y) (|x| + |y|)^-lam."""
     lam_f = float(lam)
     if lam_f <= 0:
         raise NonIntegrableError("order must be positive")
     if f.dim != n:
         raise ValueError("input dimension does not match n")
-    quad = quad or default_quad(n)
     x = np.asarray(x, dtype=float).reshape(m)
     ax = float(np.linalg.norm(x))
 
     def integrand(y):
         return f.values(y) * _safe_power(ax + np.linalg.norm(y, axis=1), lam_f)
 
-    value, err = _box_integral(integrand, np.zeros(n), f.breaks(), quad)
-    return NormEstimate(value, err, "quadrature")
+    return _box_integral(integrand, np.zeros(n), f.breaks(), quad)
 
 
 # ---------------------------------------------------------------------------
@@ -340,34 +344,27 @@ def eval_radial(n: int, m: int, lam, f: TestFunction, x,
 
 
 def _pointwise_values(cfg, f1, f2, xs, quad, workers=None):
-    """Operator values at each grid point, combined by index."""
-    vals = [0.0] * len(xs)
-    errs = [0.0] * len(xs)
-
-    def run(k):
-        est = eval_bilinear(cfg, f1, f2, xs[k], quad)
-        vals[k] = est.value
-        errs[k] = est.abs_error
+    """Operator values and error estimates at each grid point, in order."""
+    def run(x):
+        return eval_bilinear(cfg, f1, f2, x, quad)
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(xs))))
+            ests = list(pool.map(run, xs))
     else:
-        for k in range(len(xs)):
-            run(k)
-    return np.array(vals), np.array(errs)
+        ests = list(map(run, xs))
+    return (np.array([e.value for e in ests]),
+            np.array([e.abs_error for e in ests]))
 
 
 def lq_norm_on_grid(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
-                    grid: Optional[GridSpec] = None,
-                    quad: Optional[QuadratureSpec] = None,
+                    grid: GridSpec = GridSpec(),
+                    quad: QuadratureSpec = QuadratureSpec(),
                     workers: Optional[int] = None) -> NormEstimate:
     """Discrete L^q (quasi-)norm of I(f1, f2) over a uniform grid.
 
     q < 1 uses the same power-sum formula; q = inf takes the grid max.
     """
-    grid = grid or GridSpec()
-    quad = quad or default_quad(cfg.n1 + cfg.n2)
     xs = grid.points(cfg.m)
     vals, errs = _pointwise_values(cfg, f1, f2, xs, quad, workers=workers)
     if cfg.q.is_infinite:
@@ -390,7 +387,9 @@ def predicted_dilation_slope(cfg: OperatorConfig) -> float:
 
 
 def norm_ratio(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
-               grid=None, quad=None, workers=None) -> Tuple[float, float]:
+               grid: GridSpec = GridSpec(),
+               quad: QuadratureSpec = QuadratureSpec(),
+               workers: Optional[int] = None) -> Tuple[float, float]:
     """||I(f1, f2)||_q / (||f1||_p1 ||f2||_p2) on the grid, with the
     propagated numerator error."""
     num = lq_norm_on_grid(cfg, f1, f2, grid, quad, workers=workers)
@@ -401,8 +400,8 @@ def norm_ratio(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
 
 def dilation_slope(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
                    a_list: Sequence[float],
-                   grid: Optional[GridSpec] = None,
-                   quad: Optional[QuadratureSpec] = None,
+                   grid: GridSpec = GridSpec(),
+                   quad: QuadratureSpec = QuadratureSpec(),
                    workers: Optional[int] = None) -> ProbeReport:
     """Least-squares slope of log(norm ratio) against log(a) for the
     dilated pair (f1(./a), f2(./a)), with the exact prediction."""
@@ -434,8 +433,8 @@ def dilation_slope(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
 def translation_covariance_defect(cfg: OperatorConfig,
                                   f1: TestFunction, f2: TestFunction,
                                   z,
-                                  grid: Optional[GridSpec] = None,
-                                  quad: Optional[QuadratureSpec] = None,
+                                  grid: GridSpec = GridSpec(),
+                                  quad: QuadratureSpec = QuadratureSpec(),
                                   workers: Optional[int] = None) -> float:
     """Max-over-grid defect of the translation covariance identity.
 
@@ -444,8 +443,6 @@ def translation_covariance_defect(cfg: OperatorConfig,
     I(f1, f2)(x - z) exactly in the continuum; the defect is
     quadrature-level small.
     """
-    grid = grid or GridSpec()
-    quad = quad or default_quad(cfg.n1 + cfg.n2)
     z = np.asarray(z, dtype=float).reshape(cfg.m)
     z1 = cfg.D1.to_float() @ z
     z2 = cfg.D2.to_float() @ z
@@ -459,21 +456,19 @@ def translation_covariance_defect(cfg: OperatorConfig,
 
 def combined_grid_error(cfg: OperatorConfig, f1: TestFunction,
                         f2: TestFunction,
-                        grid: Optional[GridSpec] = None,
-                        quad: Optional[QuadratureSpec] = None,
+                        grid: GridSpec = GridSpec(),
+                        quad: QuadratureSpec = QuadratureSpec(),
                         workers: Optional[int] = None) -> float:
     """Sum of per-point quadrature error estimates over the grid; the
     natural yardstick for translation-defect comparisons."""
-    grid = grid or GridSpec()
-    quad = quad or default_quad(cfg.n1 + cfg.n2)
     _, errs = _pointwise_values(cfg, f1, f2, grid.points(cfg.m), quad,
                                 workers=workers)
     return float(np.sum(errs))
 
 
 def blowup_probe(cfg: OperatorConfig, family,
-                 grid: Optional[GridSpec] = None,
-                 quad: Optional[QuadratureSpec] = None,
+                 grid: GridSpec = GridSpec(),
+                 quad: QuadratureSpec = QuadratureSpec(),
                  workers: Optional[int] = None) -> List[float]:
     """Norm ratios along a family of (f1, f2) pairs (ordered by
     decreasing concentration parameter); monotone growth is the

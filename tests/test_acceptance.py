@@ -17,10 +17,11 @@ from bifrac.functions import (Gaussian, IndicatorBall, MollifiedDelta,
                               PowerLog, dilate, lp_norm)
 from bifrac.matrices import (RationalMatrix, joint_normal_form, rank,
                              single_normal_form)
-from bifrac.operators import (GridSpec, blowup_probe, combined_grid_error,
-                              default_quad, dilation_slope, eval_bilinear,
-                              eval_linear, eval_radial, lq_norm_on_grid,
-                              norm_ratio, translation_covariance_defect)
+from bifrac.operators import (GridSpec, QuadratureSpec, blowup_probe,
+                              combined_grid_error, dilation_slope,
+                              eval_bilinear, eval_linear, eval_radial,
+                              lq_norm_on_grid, norm_ratio,
+                              translation_covariance_defect)
 
 
 def report(name, ok, detail):
@@ -172,7 +173,7 @@ def test_criterion_5_dilation_slope_law():
     g = Gaussian(dim=1)
     grid = GridSpec()
     # orders close to the integrability ceiling need extra refinement
-    quad = default_quad(2, max_depth=18, base_depth=8)
+    quad = QuadratureSpec(max_depth=18, base_depth=8)
     worst = 0.0
     for (p1, p2, q), shift in zip(shapes + shapes, shifts):
         e = Exponent.from_value
@@ -229,7 +230,7 @@ def test_criterion_7_translation_covariance():
     z = [1.0 / 3.0]
     defect = translation_covariance_defect(ref, g, g, z, grid)
     budget = combined_grid_error(ref, g, g, grid)
-    deeper = default_quad(2, max_depth=default_quad(2).max_depth + 2)
+    deeper = QuadratureSpec(max_depth=QuadratureSpec().depths(2)[1] + 2)
     defect_deep = translation_covariance_defect(ref, g, g, z, grid, deeper)
     elapsed = time.perf_counter() - start
     ok = defect < 10.0 * budget and defect_deep < defect

@@ -91,6 +91,7 @@ def test_sweep_rejects_shape_mismatch(tmp_path, capsys):
 
 
 BILINEAR = dict(BASE, p1="2", p2="2", q="2")
+NAN, INF = float("nan"), float("inf")
 LINEAR = {"operator": "linear", "n": 1, "m": 1, "D": [[1]],
           "lambda": "1/2", "x": [0.0],
           "witnesses": {"f": {"tag": "indicator-ball", "dim": 1}}}
@@ -124,6 +125,22 @@ RADIAL = {"operator": "radial", "n": 1, "m": 1, "lambda": "3/2",
     ("norm", dict(LINEAR, quad={"base_depth": -3}), "quad"),
     ("norm", dict(LINEAR, quad={"samples": True, "scheme": "qmc"}), "quad"),
     ("norm", dict(LINEAR, quad={"seed": -1, "scheme": "qmc"}), "quad"),
+    ("norm", dict(LINEAR, quad={"truncation_radius": True}), "quad"),
+    ("norm", dict(LINEAR, quad={"truncation_radius": NAN}), "quad"),
+    ("norm", dict(LINEAR, quad={"truncation_radius": INF}), "quad"),
+    ("norm", dict(LINEAR, quad={"truncation_radius": "8"}), "quad"),
+    ("probe", dict(BILINEAR, **{"lambda": "3/2"},
+                   grid={"half_width": NAN}), "grid"),
+    ("norm", dict(LINEAR, x=[NAN]), "x[0]"),
+    ("norm", dict(LINEAR, x=[True]), "x[0]"),
+    ("probe", dict(BILINEAR, **{"lambda": "3/2"}, a_list=[0.5, 0.0],
+                   witnesses={"f1": {"tag": "gaussian", "dim": 1},
+                              "f2": {"tag": "gaussian", "dim": 1}}),
+     "a_list[1]"),
+    ("probe", dict(BILINEAR, **{"lambda": "3/2"}, a_list=[INF, 1.0],
+                   witnesses={"f1": {"tag": "gaussian", "dim": 1},
+                              "f2": {"tag": "gaussian", "dim": 1}}),
+     "a_list[0]"),
 ])
 def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
                                               key):
@@ -281,15 +298,18 @@ def test_single_ratio_blowup_is_not_monotone_growth(tmp_path, capsys):
     assert record["blowup"]["monotone_growth"] is False
 
 
-@pytest.mark.parametrize("f1, message", [
+@pytest.mark.parametrize("f1, q, message", [
     # the witness misses the truncation box, so every ratio is zero
-    ({"tag": "indicator-ball", "dim": 1, "center": [100.0]},
+    ({"tag": "indicator-ball", "dim": 1, "center": [100.0]}, "2",
      "nonpositive norm ratio"),
     # a constant has no finite L^2 norm
-    ({"tag": "constant", "dim": 1, "value": 1.0}, "not in L^p"),
-])
-def test_numeric_probe_failures_exit_two(tmp_path, capsys, f1, message):
-    cfg = dict(BILINEAR, **{"lambda": "3/2"}, a_list=[0.5, 1.0],
+    ({"tag": "constant", "dim": 1, "value": 1.0}, "2", "not in L^p"),
+    # the slope law is stated for q < inf
+    ({"tag": "gaussian", "dim": 1}, "inf", "q < inf"),
+], ids=["f10-nonpositive norm ratio", "f11-not in L^p",  # f1 and message
+        "f12-q < inf"])
+def test_numeric_probe_failures_exit_two(tmp_path, capsys, f1, q, message):
+    cfg = dict(BILINEAR, q=q, **{"lambda": "3/2"}, a_list=[0.5, 1.0],
                witnesses={"f1": f1, "f2": {"tag": "gaussian", "dim": 1}},
                grid={"points_per_axis": 5})
     code = main(["--config", write_config(tmp_path, cfg), "--mode", "probe"])

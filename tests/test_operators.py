@@ -13,7 +13,7 @@ from bifrac.functions import (Constant, Gaussian, IndicatorBall,
                               MollifiedDelta, PowerLog, dilate)
 from bifrac.matrices import RationalMatrix
 from bifrac.operators import (GridSpec, NonIntegrableError, QuadratureSpec,
-                              _dyadic_cells, _partition, default_quad,
+                              _dyadic_cells, _partition,
                               dilation_slope, eval_bilinear, eval_linear,
                               eval_radial, lq_norm_on_grid,
                               predicted_dilation_slope,
@@ -53,7 +53,7 @@ def test_linear_far_field_sandwich():
     # support in [-1, 1], x = 10: kernel between 9^(-1/2) and 11^(-1/2)
     D = RationalMatrix.from_rows([[1]])
     est = eval_linear(1, 1, D, Fraction(1, 2), ball(), [10.0],
-                      default_quad(1, truncation_radius=16.0))
+                      QuadratureSpec(truncation_radius=16.0))
     assert 2 * 11 ** -0.5 <= est.value <= 2 * 9 ** -0.5
 
 
@@ -101,7 +101,7 @@ def axis_cells_reference(half, specials, base_depth, max_depth):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_partition_tiles_the_truncation_box(d):
-    quad = default_quad(d)
+    quad = QuadratureSpec()
     singular = np.linspace(0.3, -0.7, d)
     breaks = [[-1.0, 1.0]] * d
     lo, hi = _partition(singular, breaks, quad)
@@ -110,7 +110,7 @@ def test_partition_tiles_the_truncation_box(d):
 
 
 def test_partition_1d_leaves_abut():
-    lo, hi = _partition(np.array([0.3]), [[-1.0, 1.0]], default_quad(1))
+    lo, hi = _partition(np.array([0.3]), [[-1.0, 1.0]], QuadratureSpec())
     order = np.argsort(lo[:, 0])
     lo, hi = lo[order, 0], hi[order, 0]
     assert lo[0] == -8.0 and hi[-1] == 8.0
@@ -119,12 +119,35 @@ def test_partition_1d_leaves_abut():
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_singular_leaf_has_finest_width(d):
-    quad = default_quad(d, max_depth=7, base_depth=2)
     singular = np.full(d, 0.3)
-    lo, hi = _partition(singular, [[]] * d, quad)
-    inside = np.all((lo <= singular) & (singular < hi), axis=1)
-    assert inside.sum() == 1
-    assert np.all(hi[inside] - lo[inside] == 16.0 * 2.0 ** -7)
+    for quad in (QuadratureSpec(max_depth=7, base_depth=2), QuadratureSpec()):
+        lo, hi = _partition(singular, [[]] * d, quad)
+        inside = np.all((lo <= singular) & (singular < hi), axis=1)
+        assert inside.sum() == 1
+        width = 16.0 * 2.0 ** -quad.depths(d)[1]
+        assert np.all(hi[inside] - lo[inside] == width)
+
+
+def test_depths_default_by_dimension():
+    assert [QuadratureSpec().depths(d) for d in (1, 2, 3, 4, 5)] == [
+        (8, 20), (6, 14), (4, 11), (3, 9), (2, 8)]
+    assert QuadratureSpec(base_depth=3).depths(2) == (3, 14)
+    assert QuadratureSpec(max_depth=5).depths(1) == (5, 5)
+
+
+EYE2 = make_config(2, 2, 2, [[1, 0], [0, 1]], [[1, 0], [0, 1]], 2, 2, 2, 3)
+
+
+@pytest.mark.parametrize("evaluate", [
+    # d = 1: the unit ball under the order-1/2 Riesz potential at x = 0
+    lambda *quad: eval_linear(1, 1, RationalMatrix.from_rows([[1]]),
+                              Fraction(1, 2), ball(), [0.0], *quad),
+    # d = 4: 2+2 Gaussians at x = (0.5, 0.25)
+    lambda *quad: eval_bilinear(EYE2, Gaussian(dim=2), Gaussian(dim=2),
+                                [0.5, 0.25], *quad),
+], ids=["linear-1d", "bilinear-4d"])
+def test_partial_spec_keeps_the_dimension_defaults(evaluate):
+    assert evaluate(QuadratureSpec(truncation_radius=8.0)) == evaluate()
 
 
 @given(st.sampled_from([8.0, 3.3, 1.0]),
@@ -207,14 +230,14 @@ def test_continuum_dilation_identity():
 def test_scheme_agreement_2d_and_4d():
     g1 = Gaussian(dim=1)
     a2 = eval_bilinear(REF, g1, g1, [0.5])
-    q2 = eval_bilinear(REF, g1, g1, [0.5], default_quad(2, scheme="qmc"))
+    q2 = eval_bilinear(REF, g1, g1, [0.5], QuadratureSpec(scheme="qmc"))
     assert abs(a2.value - q2.value) / a2.value < 0.02
 
     cfg4 = make_config(2, 2, 1, [[1], [0]], [[0], [1]], 2, 2, 2,
                        Fraction(5, 2))
     g2 = Gaussian(dim=2)
     a4 = eval_bilinear(cfg4, g2, g2, [0.5])
-    q4 = eval_bilinear(cfg4, g2, g2, [0.5], default_quad(4, scheme="qmc"))
+    q4 = eval_bilinear(cfg4, g2, g2, [0.5], QuadratureSpec(scheme="qmc"))
     assert abs(a4.value - q4.value) / a4.value < 0.02
 
 
