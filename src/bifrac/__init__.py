@@ -1,8 +1,8 @@
 """Exact boundedness classification and numerical evaluation of
 bilinear fractional integral operators."""
 
-from .exponents import (ConjugateUndefinedError, Exponent, check_homogeneity,
-                        conjugate, homogeneous_lambda, parse_rational)
+from .exponents import (ConjugateUndefinedError, Exponent, conjugate,
+                        homogeneous_lambda, parse_rational)
 from .matrices import (JointNormalForm, RankDeficientStackError,
                        RationalMatrix, SingleNormalForm, SingularMatrixError,
                        invert, joint_normal_form, rank, signature,

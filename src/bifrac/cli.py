@@ -13,6 +13,7 @@ out-of-hypothesis configuration.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -141,7 +142,10 @@ def _witness(cfg: dict, key: str):
     witnesses = cfg.get("witnesses", {})
     if key not in witnesses:
         raise ConfigError(f"config is missing witness descriptor {key!r}")
-    return descriptor_from_dict(witnesses[key])
+    try:
+        return descriptor_from_dict(witnesses[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"witnesses.{key}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -188,32 +192,29 @@ def cmd_reduce(cfg: dict, args) -> int:
 def cmd_sweep(cfg: dict, args) -> int:
     _require(cfg, "n1", "n2", "m", "D1", "D2")
     sweep = cfg.get("sweep", {})
+    if not isinstance(sweep, dict) or set(sweep) - {"divisor"}:
+        raise ConfigError(f"sweep: expected an object whose only key is "
+                          f"'divisor', got {sweep!r}")
     divisor = sweep.get("divisor", 8)
     if not (isinstance(divisor, int) and 2 <= divisor <= 64):
-        raise ConfigError("sweep divisor must be an integer in [2, 64]")
+        raise ConfigError(f"sweep: divisor must be an integer in [2, 64], "
+                          f"got {divisor!r}")
     n1, n2, m = (_dimension(cfg, k) for k in ("n1", "n2", "m"))
     D1 = RationalMatrix.from_rows(cfg["D1"])
     D2 = RationalMatrix.from_rows(cfg["D2"])
     check_shapes(n1, n2, m, D1, D2)
     sig = signature(D1, D2)
+    lattice = [Exponent(Fraction(i, divisor)) for i in range(divisor + 1)]
     rows = []
-    for i1 in range(divisor + 1):
-        for i2 in range(divisor + 1):
-            for iq in range(divisor + 1):
-                a1 = Fraction(i1, divisor)
-                a2 = Fraction(i2, divisor)
-                b = Fraction(iq, divisor)
-                p1 = Exponent(a1)
-                p2 = Exponent(a2)
-                q = Exponent(b)
-                lam = homogeneous_lambda(n1, n2, m, p1, p2, q)
-                try:
-                    verdict = decide(sig, p1, p2, q, lam)
-                    bounded, clause = verdict.bounded, verdict.clause.value
-                except HypothesisError as exc:
-                    bounded, clause = False, exc.clause.value
-                rows.append((a1, a2, b,
-                             "true" if bounded else "false", clause))
+    for p1, p2, q in itertools.product(lattice, repeat=3):
+        lam = homogeneous_lambda(n1, n2, m, p1, p2, q)
+        try:
+            verdict = decide(sig, p1, p2, q, lam)
+            bounded, clause = verdict.bounded, verdict.clause.value
+        except HypothesisError as exc:
+            bounded, clause = False, exc.clause.value
+        rows.append((p1.recip, p2.recip, q.recip,
+                     "true" if bounded else "false", clause))
     _emit(_dump_csv(("inv_p1", "inv_p2", "inv_q", "bounded", "clause"),
                     rows), args.out)
     return EXIT_BOUNDED

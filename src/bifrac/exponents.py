@@ -110,12 +110,6 @@ def homogeneous_lambda(n1: int, n2: int, m: int,
             + m * q.recip)
 
 
-def check_homogeneity(cfg) -> bool:
-    """Exact test of cfg.lam against the dilation-forced order."""
-    return cfg.lam == homogeneous_lambda(cfg.n1, cfg.n2, cfg.m,
-                                         cfg.p1, cfg.p2, cfg.q)
-
-
 def parse_rational(v) -> Fraction:
     """Parse an exact rational from an int, Fraction or "a/b" string."""
     if isinstance(v, Fraction):

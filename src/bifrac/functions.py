@@ -492,8 +492,14 @@ def descriptor_to_dict(f: TestFunction) -> dict:
     return d
 
 
+def _check_finite(name: str, v) -> None:
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {v!r}")
+
+
 def descriptor_from_dict(d: dict) -> TestFunction:
-    """Rebuild a descriptor from its {tag, parameters} form."""
+    """Rebuild a descriptor from its {tag, parameters} form; a NaN or
+    infinite parameter, list entries included, is refused by name."""
     d = dict(d)
     tag = d.pop("tag", None)
     if tag not in _TAGS:
@@ -502,5 +508,9 @@ def descriptor_from_dict(d: dict) -> TestFunction:
         if isinstance(v, dict):
             d[key] = descriptor_from_dict(v)
         elif isinstance(v, list):
+            for i, u in enumerate(v):
+                _check_finite(f"{key}[{i}]", u)
             d[key] = tuple(v)
+        else:
+            _check_finite(key, v)
     return _TAGS[tag](**d)

@@ -1,17 +1,17 @@
 """Exact rational linear algebra for small dense matrices.
 
-Rank is computed by fraction-free (Bareiss) elimination on an
-integer-scaled copy; inverses and the normal forms use exact
-Gauss-Jordan over Fraction entries.  Pivots are always the first
-nonzero entry in column order: with exact arithmetic no magnitude
-heuristics are needed and the output is deterministic.
+One Gauss-Jordan elimination over Fraction entries does every job:
+the rank is its pivot count, the inverse its record of row
+operations, and the normal forms are built from its reduced row
+echelon form.  Pivots are always the first nonzero entry in column
+order: with exact arithmetic no magnitude heuristics are needed and
+the output is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import List, Sequence
 
 from .exponents import parse_rational
@@ -63,9 +63,6 @@ class RationalMatrix:
     def row(self, i: int) -> List[Fraction]:
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
-    def column(self, j: int) -> List[Fraction]:
-        return [self[i, j] for i in range(self.rows)]
-
     def to_lists(self) -> List[List[Fraction]]:
         return [self.row(i) for i in range(self.rows)]
 
@@ -101,34 +98,8 @@ class RationalMatrix:
 
 
 def rank(M: RationalMatrix) -> int:
-    """Exact rank via fraction-free Bareiss elimination.
-
-    Rows are scaled to integers first; the Bareiss recurrence then
-    keeps all intermediate values integral, bounding coefficient
-    growth without any rational normalization inside the sweep.
-    """
-    a = []
-    for i in range(M.rows):
-        row = M.row(i)
-        den = lcm(*(v.denominator for v in row)) if row else 1
-        a.append([int(v * den) for v in row])
-    n_rows, n_cols = M.rows, M.cols
-    r = 0
-    prev = 1
-    for col in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, n_rows):
-            for j in range(col + 1, n_cols):
-                a[i][j] = (a[r][col] * a[i][j] - a[i][col] * a[r][j]) // prev
-            a[i][col] = 0
-        prev = a[r][col]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    """Exact rank: the pivot count of the Gauss-Jordan elimination."""
+    return len(_gauss_jordan(M)[2])
 
 
 def signature(D1: RationalMatrix, D2: RationalMatrix) -> tuple:
@@ -206,7 +177,8 @@ def _block_identity(rows: int, cols: int, id_cols: Sequence[int]) -> RationalMat
 
 
 def _permutation(order: Sequence[int]) -> RationalMatrix:
-    """Permutation matrix E with (M @ E).column(k) == M.column(order[k])."""
+    """Permutation matrix E such that column k of M @ E is column
+    order[k] of M."""
     m = len(order)
     return RationalMatrix.from_rows(
         [[Fraction(1) if order[k] == i else Fraction(0) for k in range(m)]

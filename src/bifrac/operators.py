@@ -146,18 +146,30 @@ class ProbeReport:
 # core integrators
 
 
+_CHUNK_POINTS = 1 << 20  # integrand points per evaluation call, at most
+
+
 def _leaf_sum(func: Callable[[np.ndarray], np.ndarray],
               lo: np.ndarray, hi: np.ndarray) -> Tuple[float, float]:
     """Centroid value plus one 2^d refinement pass over leaf cells;
     Richardson-combined value with the coarse/fine discrepancy as the
-    error estimate."""
+    error estimate.  Leaves are evaluated in chunks of at most
+    _CHUNK_POINTS integrand points, so memory stays bounded in any
+    dimension; the per-leaf values, and so their one sum, do not
+    depend on the chunking."""
     d = lo.shape[1]
-    width = hi - lo
-    vol = np.prod(width, axis=1)
     corners = np.array(list(itertools.product((0.25, 0.75), repeat=d)))
-    coarse = func((lo + hi) / 2.0) * vol
-    sub = lo[:, None, :] + corners[None, :, :] * width[:, None, :]
-    fine = func(sub.reshape(-1, d)).reshape(len(lo), -1).mean(axis=1) * vol
+    step = max(1, _CHUNK_POINTS // len(corners))
+    coarse, fine = [], []
+    for k in range(0, len(lo), step):
+        clo, chi = lo[k:k + step], hi[k:k + step]
+        width = chi - clo
+        vol = np.prod(width, axis=1)
+        coarse.append(func((clo + chi) / 2.0) * vol)
+        sub = clo[:, None, :] + corners[None, :, :] * width[:, None, :]
+        fine.append(func(sub.reshape(-1, d)).reshape(len(clo), -1)
+                    .mean(axis=1) * vol)
+    coarse, fine = np.concatenate(coarse), np.concatenate(fine)
     value = float(np.sum(fine + (fine - coarse) / 3.0))
     err = float(np.sum(np.abs(fine - coarse)))
     return value, err

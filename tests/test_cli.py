@@ -141,6 +141,24 @@ RADIAL = {"operator": "radial", "n": 1, "m": 1, "lambda": "3/2",
                    witnesses={"f1": {"tag": "gaussian", "dim": 1},
                               "f2": {"tag": "gaussian", "dim": 1}}),
      "a_list[0]"),
+    ("sweep", dict(BASE, sweep=8), "sweep"),
+    ("sweep", dict(BASE, sweep=[]), "sweep"),
+    ("sweep", dict(BASE, sweep={"divisor": 8, "divsor": 4}), "sweep"),
+    ("norm", dict(BILINEAR, **{"lambda": "1/2"}, x=[0.5],
+                  witnesses={"f1": {"tag": "gaussian", "dim": 1,
+                                    "scale": NAN},
+                             "f2": {"tag": "gaussian", "dim": 1}}),
+     "witnesses.f1"),
+    ("norm", dict(BILINEAR, **{"lambda": "1/2"}, x=[0.5],
+                  witnesses={"f1": {"tag": "gaussian", "dim": 1,
+                                    "scale": "a"},
+                             "f2": {"tag": "gaussian", "dim": 1}}),
+     "witnesses.f1"),
+    ("norm", dict(BILINEAR, **{"lambda": "1/2"}, x=[0.5],
+                  witnesses={"f1": {"tag": "gaussian", "dim": 1},
+                             "f2": {"tag": "indicator-ball", "dim": 1,
+                                    "center": [-INF]}}),
+     "witnesses.f2"),
 ])
 def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
                                               key):
@@ -245,6 +263,26 @@ def test_probe_mode_reports_slope_and_blowup(tmp_path, capsys):
     record = json.loads(out)
     assert abs(record["dilation"]["slope"]) < 0.1
     assert "blowup" not in record  # bounded config has no blowup probe
+
+
+def test_probe_out_csv_writes_the_dilation_table(tmp_path, capsys):
+    """With --out *.csv and an a_list, stdout is the JSON record and the
+    file holds the a,ratio,err table."""
+    cfg = dict(BILINEAR, **{"lambda": "3/2"}, a_list=[0.5, 1.0, 2.0],
+               witnesses={"f1": {"tag": "gaussian", "dim": 1},
+                          "f2": {"tag": "gaussian", "dim": 1}},
+               grid={"points_per_axis": 5})
+    table = tmp_path / "table.csv"
+    code, out = run_cli(["--config", write_config(tmp_path, cfg),
+                         "--mode", "probe", "--out", str(table)], capsys)
+    assert code == 0
+    dilation = json.loads(out)["dilation"]
+    lines = table.read_bytes().decode("utf-8").split("\n")
+    assert lines[0] == "a,ratio,err" and lines[-1] == ""
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:-1]]
+    assert rows == [list(r) for r in zip(dilation["dilations"],
+                                         dilation["ratios"],
+                                         dilation["ratio_errors"])]
 
 
 @pytest.mark.parametrize("mode, cfg, section, name", [

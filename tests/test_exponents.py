@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bifrac.exponents import (ConjugateUndefinedError, Exponent,
-                              check_homogeneity, conjugate,
+from bifrac.exponents import (ConjugateUndefinedError, Exponent, conjugate,
                               homogeneous_lambda, parse_rational)
 
 
@@ -40,12 +39,14 @@ def test_homogeneous_lambda_examples():
 
 
 def test_check_homogeneity_exact():
-    from bifrac.classifier import make_config
+    from bifrac.classifier import Clause, classify_bilinear, make_config
     cfg = make_config(1, 1, 1, [[1]], [[1]], 2, 2, 2, Fraction(3, 2))
-    assert check_homogeneity(cfg)
+    assert classify_bilinear(cfg).bounded
     off = make_config(1, 1, 1, [[1]], [[1]], 2, 2, 2,
                       Fraction(3, 2) + Fraction(1, 100))
-    assert not check_homogeneity(off)
+    verdict = classify_bilinear(off)
+    assert not verdict.bounded
+    assert verdict.clause == Clause.HOMOGENEITY_FAILED
 
 
 def test_infinity_round_trip():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from bifrac.classifier import make_config
 from bifrac.functions import (Constant, Gaussian, IndicatorBall,
                               MollifiedDelta, PowerLog, dilate)
+from bifrac import operators
 from bifrac.matrices import RationalMatrix
 from bifrac.operators import (GridSpec, NonIntegrableError, QuadratureSpec,
                               _dyadic_cells, _partition,
@@ -159,6 +160,27 @@ def test_dyadic_cells_1d_matches_segment_loop(half, specials, base, depth):
     lo, hi = _dyadic_cells([-half], [half], specials, base, depth)
     ref = axis_cells_reference(half, specials, base, depth)
     assert np.array_equal(np.concatenate([lo, hi], axis=1), ref)
+
+
+@pytest.mark.parametrize("n, f1, f2, quad", [
+    (1, IndicatorBall(dim=1), MollifiedDelta(dim=1, width=0.25),
+     QuadratureSpec()),
+    (2, Gaussian(dim=2), Gaussian(dim=2), QuadratureSpec()),
+    (3, Gaussian(dim=3), Gaussian(dim=3), QuadratureSpec(max_depth=3)),
+], ids=["1+1", "2+2", "3+3"])
+def test_chunked_leaf_sum_is_bit_identical(monkeypatch, n, f1, f2, quad):
+    """Evaluating the leaves in many small chunks gives the value and
+    the error estimate of the one-chunk evaluation bit for bit."""
+    column = [[1]] + [[0]] * (n - 1)
+    cfg = make_config(n, n, 1, column, column, 2, 2, 2,
+                      Fraction(2 * n + 1, 2))
+    whole = eval_bilinear(cfg, f1, f2, [0.3], quad)
+    # 2^14 points per chunk splits each partition into 8 or more chunks
+    monkeypatch.setattr(operators, "_CHUNK_POINTS", 1 << 14)
+    chunked = eval_bilinear(cfg, f1, f2, [0.3], quad)
+    assert math.isfinite(whole.value) and whole.value > 0
+    assert (chunked.value, chunked.abs_error) == (whole.value,
+                                                  whole.abs_error)
 
 
 def test_quadrature_spec_rejects_unknown_scheme():
