@@ -23,12 +23,12 @@ from typing import Optional
 from .classifier import (HypothesisError, check_shapes, classify_bilinear,
                          decide, make_config)
 from .exponents import Exponent, homogeneous_lambda, parse_rational
-from .functions import (DivergentNormError, NoWitnessError,
+from .functions import (DivergentNormError, NoWitnessError, _check_real,
                         descriptor_from_dict, witness_for)
 from .matrices import (RankDeficientStackError, RationalMatrix,
                        joint_normal_form, signature, single_normal_form)
 from .operators import (GridSpec, NonIntegrableError, QuadratureSpec,
-                        _check_real, blowup_probe, dilation_slope,
+                        blowup_probe, dilation_slope,
                         eval_bilinear, eval_linear, eval_radial,
                         lq_norm_on_grid)
 

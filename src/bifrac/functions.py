@@ -3,9 +3,10 @@ Lp norms.
 
 Descriptors are immutable and evaluation is lazy, so quadrature can
 refine arbitrarily close to singular points without re-ingesting data.
-Each descriptor class carries its own pointwise values (on an (N, dim)
+Each descriptor class carries its own pointwise values (on a (..., dim)
 array of points), its Lp norm and its quadrature breakpoints, so a new
-witness is one class plus one `_TAGS` entry for serialization.
+witness is one class plus one `_TAGS` entry for serialization.  scipy
+is imported only by the norms that need a radial quadrature.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from .classifier import Clause
 from .matrices import signature
@@ -23,6 +23,24 @@ from .matrices import signature
 
 class DivergentNormError(ArithmeticError):
     """The requested Lp norm is infinite for this descriptor."""
+
+
+def _check_int(name: str, value, low: Optional[int] = None) -> None:
+    """Raise ValueError unless value is an int (bools refused) >= low."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_real(name: str, value, positive: bool = False) -> None:
+    """Raise ValueError unless value is a finite int or float (bools
+    refused), and > 0 if positive."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (positive and value <= 0)):
+        bound = " > 0" if positive else ""
+        raise ValueError(f"{name} must be a finite number{bound}, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +67,8 @@ class TestFunction:
     dim: int
 
     def values(self, y: np.ndarray) -> np.ndarray:
-        """Values at an (N, dim) array of points, as an (N,) array."""
+        """Values at a (..., dim) array of points, as a (...) array: the
+        last axis holds the coordinates, every leading axis is kept."""
         raise NotImplementedError
 
     def norm(self, p: float) -> NormEstimate:
@@ -200,7 +219,7 @@ class Constant(TestFunction):
     value: float = 1.0
 
     def values(self, y):
-        return np.full(len(y), self.value, dtype=float)
+        return np.full(np.shape(y)[:-1], self.value, dtype=float)
 
     def norm(self, p):
         if math.isinf(p):
@@ -339,6 +358,8 @@ def _powerlog_radial_norm(dim: int, p_own: float, eps: float, cutoff: float,
         val = omega * u0 ** (1.0 - beta) / (beta - 1.0)
         err = abs(val) * 1e-12
     else:
+        from scipy.integrate import quad
+
         def integrand(u):
             r = math.exp(-u)
             dens = omega * math.exp(-alpha * u) * u ** (-beta)
@@ -346,8 +367,8 @@ def _powerlog_radial_norm(dim: int, p_own: float, eps: float, cutoff: float,
                 dens *= tail_cross_section(r)
             return dens
 
-        val, err = _scipy_quad(integrand, u0, math.inf,
-                               epsabs=0.0, epsrel=1e-10, limit=200)
+        val, err = quad(integrand, u0, math.inf,
+                        epsabs=0.0, epsrel=1e-10, limit=200)
     return NormEstimate(val ** (1.0 / p),
                         err * val ** (1.0 / p - 1.0) / p if val > 0 else err,
                         "quadrature")
@@ -370,6 +391,7 @@ def truncated_powerlog_norm(f: PowerLog, p, inner_radius: float) -> float:
     """||f||_p^p over {inner_radius <= |y| <= cutoff}, for divergence
     probes: with eps <= 0 at p = f.p this grows without bound as
     inner_radius -> 0."""
+    from scipy.integrate import quad
     pv = float(p)
     omega = f.dim * unit_ball_volume(f.dim)
     alpha = f.dim - f.dim * pv / f.p
@@ -380,7 +402,7 @@ def truncated_powerlog_norm(f: PowerLog, p, inner_radius: float) -> float:
 
     u0 = math.log(1.0 / f.cutoff)
     u1 = math.log(1.0 / inner_radius)
-    val, _ = _scipy_quad(integrand, u0, u1, limit=200)
+    val, _ = quad(integrand, u0, u1, limit=200)
     return val
 
 
@@ -492,25 +514,53 @@ def descriptor_to_dict(f: TestFunction) -> dict:
     return d
 
 
-def _check_finite(name: str, v) -> None:
-    if isinstance(v, float) and not math.isfinite(v):
-        raise ValueError(f"{name} must be finite, got {v!r}")
+def _check_bool(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
-def descriptor_from_dict(d: dict) -> TestFunction:
-    """Rebuild a descriptor from its {tag, parameters} form; a NaN or
-    infinite parameter, list entries included, is refused by name."""
+def _check_param(name: str, key: str, v) -> None:
+    """Raise ValueError, naming the parameter, unless v fits descriptor
+    field `key`: a list of finite numbers (`center`, `z`) or of true or
+    false (`mask`), null meaning the default for `center` and `mask`;
+    a descriptor object (`inner`); an integer (`dim`, `head`, `tail`);
+    otherwise a finite number."""
+    if key in ("center", "z", "mask"):
+        if v is None and key != "z":
+            return
+        if not isinstance(v, list):
+            raise ValueError(f"{name} must be a list, got {v!r}")
+        check = _check_bool if key == "mask" else _check_real
+        for i, u in enumerate(v):
+            check(f"{name}[{i}]", u)
+    elif key == "inner":
+        if not isinstance(v, dict):
+            raise ValueError(f"{name} must be a descriptor object, "
+                             f"got {v!r}")
+    elif key in ("dim", "head", "tail"):
+        _check_int(name, v)
+    else:
+        _check_real(name, v)
+
+
+def descriptor_from_dict(d: dict, path: str = "") -> TestFunction:
+    """Rebuild a descriptor from its {tag, parameters} form.  Every
+    parameter, list entries and nested descriptors included, is
+    type-checked before the descriptor is built; an error names the
+    parameter by its path from the outermost descriptor (`path` is the
+    prefix of a nested one, e.g. "inner.")."""
     d = dict(d)
     tag = d.pop("tag", None)
     if tag not in _TAGS:
         raise ValueError(f"unknown descriptor tag {tag!r}")
+    known = {field.name for field in fields(_TAGS[tag])}
     for key, v in d.items():
-        if isinstance(v, dict):
-            d[key] = descriptor_from_dict(v)
+        name = path + key
+        if key not in known:
+            raise ValueError(f"{name} is not a parameter of {tag!r}")
+        _check_param(name, key, v)
+        if key == "inner":
+            d[key] = descriptor_from_dict(v, name + ".")
         elif isinstance(v, list):
-            for i, u in enumerate(v):
-                _check_finite(f"{key}[{i}]", u)
             d[key] = tuple(v)
-        else:
-            _check_finite(key, v)
     return _TAGS[tag](**d)

@@ -2,7 +2,14 @@
 
 Two quadrature schemes share one contract: integrate a locally
 integrable singular integrand over a truncation box and return a value
-with an error estimate.
+with an error estimate.  An integrand takes one point array per
+coordinate block of the operator, (y1, y2) for the bilinear kernel and
+(y,) for the linear and radial ones; each has shape (..., n_b), their
+leading shapes broadcast against each other and the integrand returns
+values of the broadcast shape.  So a factor of the integrand that
+depends on one block, a witness or a block distance, is computed once
+per distinct block coordinate, and only the product of the factors and
+the kernel power run on every point.
 
 * adaptive-dyadic: one builder, `_dyadic_cells`, makes every
   partition: uniform dyadic splits to a base depth, then only boxes
@@ -11,24 +18,25 @@ with an error estimate.
   tensor product of 1-d partitions whose targets are the singular
   coordinate and the input descriptors' breaks on that axis (bump
   edges, power-law origins), so a bump that is narrow in one
-  coordinate but extended in the others is still resolved.  In higher
-  dimension one d-dimensional partition has the singular point as its
-  only target, and cells near it split into 2^d children.  Both
-  depths come from `QuadratureSpec.depths(d)`: a depth the spec leaves
-  unset takes the default for the integration dimension d, and the
-  base depth is capped at the maximum.  Every leaf gets a centroid
-  value plus one 2^d-subcell refinement pass; the reported value is
-  the Richardson combination and the error estimate is the
-  coarse/fine discrepancy.  A centroid that lands exactly on the
-  singular point contributes 0 (measure zero).
+  coordinate but extended in the others is still resolved; the
+  product is never formed, each axis's leaves lie along their own
+  array axis.  In higher dimension one d-dimensional partition has
+  the singular point as its only target, and cells near it split into
+  2^d children.  Both depths come from `QuadratureSpec.depths(d)`: a
+  depth the spec leaves unset takes the default for the integration
+  dimension d, and the base depth is capped at the maximum.  Every
+  leaf gets a centroid value plus one 2^d-subcell refinement pass,
+  whose corners are the product of each block's 2^n_b corners; the
+  reported value is the Richardson combination and the error estimate
+  is the coarse/fine discrepancy.  A centroid that lands exactly on
+  the singular point contributes 0 (measure zero).
 * quasi-random: scrambled Sobol points pushed through a per-axis
   power map centered at the singular point, which concentrates samples
   near the singularity and whose Jacobian absorbs the kernel blow-up.
 
 All evaluations are pure functions of (descriptors, spec); grid-point
 results keep the order of the points, so concurrent execution is
-bit-reproducible.
-"""
+bit-reproducible."""
 
 from __future__ import annotations
 
@@ -39,34 +47,15 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .classifier import OperatorConfig
-from .functions import (NormEstimate, TestFunction, dilate, lp_norm,
-                        translate)
+from .functions import (NormEstimate, TestFunction, _check_int, _check_real,
+                        dilate, lp_norm, translate)
 from .matrices import RationalMatrix
 
 
 class NonIntegrableError(ValueError):
     """Kernel exponent too large for local integrability."""
-
-
-def _check_int(name: str, value, low: Optional[int] = None) -> None:
-    """Raise ValueError unless value is an int (bools refused) >= low."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (low is not None and value < low)):
-        bound = "" if low is None else f" >= {low}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-
-
-def _check_real(name: str, value, positive: bool = False) -> None:
-    """Raise ValueError unless value is a finite int or float (bools
-    refused), and > 0 if positive."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or (positive and value <= 0)):
-        bound = " > 0" if positive else ""
-        raise ValueError(f"{name} must be a finite number{bound}, "
-                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -149,26 +138,67 @@ class ProbeReport:
 _CHUNK_POINTS = 1 << 20  # integrand points per evaluation call, at most
 
 
-def _leaf_sum(func: Callable[[np.ndarray], np.ndarray],
-              lo: np.ndarray, hi: np.ndarray) -> Tuple[float, float]:
-    """Centroid value plus one 2^d refinement pass over leaf cells;
-    Richardson-combined value with the coarse/fine discrepancy as the
-    error estimate.  Leaves are evaluated in chunks of at most
-    _CHUNK_POINTS integrand points, so memory stays bounded in any
-    dimension; the per-leaf values, and so their one sum, do not
-    depend on the chunking."""
-    d = lo.shape[1]
-    corners = np.array(list(itertools.product((0.25, 0.75), repeat=d)))
-    step = max(1, _CHUNK_POINTS // len(corners))
+def _leaf_sum(func: Callable[..., np.ndarray],
+              factors: Sequence[Tuple[np.ndarray, np.ndarray]],
+              blocks: Sequence[int]) -> Tuple[float, float]:
+    """Centroid value plus one 2^d refinement pass over the leaves of a
+    factored partition; Richardson-combined value with the coarse/fine
+    discrepancy as the error estimate.
+
+    `factors` are (lo, hi) leaf arrays, each (k, d_f) over the next d_f
+    coordinates, whose product (factor 0 slowest) is the partition.
+    Each block's 2^n_b subcell corners lie along a leading array axis
+    and each factor's leaves along a trailing one, so func, which takes
+    one (..., n_b) array per block of `blocks`, sees each block
+    coordinate once.  The corners keep the lexicographic order of one
+    d-dimensional corner set and each leaf's mean adds them as numpy
+    sums one contiguous row, so per-leaf values do not depend on the
+    factoring.
+    Factor 0 is evaluated in chunks of at most _CHUNK_POINTS integrand
+    points, which bounds memory and does not change the values."""
+    nb = len(blocks)
+    ndim = nb + len(factors)
+    owner = [(f, c) for f, (lo, _) in enumerate(factors)
+             for c in range(lo.shape[1])]
+    offsets = [np.array(list(itertools.product((0.25, 0.75), repeat=n)))
+               for n in blocks]
+    corners = 2 ** len(owner)
+    row = corners * math.prod(len(lo) for lo, _ in factors[1:])
+    step = max(1, _CHUNK_POINTS // row)
+
+    def along(v, axis):
+        shape = [1] * ndim
+        shape[axis] = -1
+        return v.reshape(shape)
+
     coarse, fine = [], []
-    for k in range(0, len(lo), step):
-        clo, chi = lo[k:k + step], hi[k:k + step]
-        width = chi - clo
-        vol = np.prod(width, axis=1)
-        coarse.append(func((clo + chi) / 2.0) * vol)
-        sub = clo[:, None, :] + corners[None, :, :] * width[:, None, :]
-        fine.append(func(sub.reshape(-1, d)).reshape(len(clo), -1)
-                    .mean(axis=1) * vol)
+    lo0, hi0 = factors[0]
+    for k in range(0, len(lo0), step):
+        chunk = [(lo0[k:k + step], hi0[k:k + step])] + list(factors[1:])
+        vol = math.prod(along(np.prod(hi - lo, axis=1), nb + f)
+                        for f, (lo, hi) in enumerate(chunk)).ravel()
+        centre, sub = [], []
+        start = 0
+        for b, n in enumerate(blocks):
+            mids, points = [], []
+            for i, (f, c) in enumerate(owner[start:start + n]):
+                lo, hi = chunk[f][0][:, c], chunk[f][1][:, c]
+                mids.append(along((lo + hi) / 2.0, nb + f))
+                points.append(along(lo, nb + f) + along(offsets[b][:, i], b)
+                              * along(hi - lo, nb + f))
+            centre.append(np.stack(np.broadcast_arrays(*mids), axis=-1))
+            sub.append(np.stack(np.broadcast_arrays(*points), axis=-1))
+            start += n
+        coarse.append(func(*centre).reshape(-1) * vol)
+        values = func(*sub).reshape(corners, -1)
+        if corners < 8:
+            # numpy adds fewer than 8 terms one by one along any axis, so
+            # the corner axis gives the row mean without a transpose
+            mean = values.mean(axis=0)
+        else:
+            # from 8 terms on a contiguous row is summed pairwise
+            mean = np.ascontiguousarray(values.T).mean(axis=1)
+        fine.append(mean * vol)
     coarse, fine = np.concatenate(coarse), np.concatenate(fine)
     value = float(np.sum(fine + (fine - coarse) / 3.0))
     err = float(np.sum(np.abs(fine - coarse)))
@@ -212,34 +242,35 @@ def _dyadic_cells(lo, hi, targets, base_depth: int,
 
 
 def _partition(singular: np.ndarray, breaks: List[List[float]],
-               quad: QuadratureSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Leaves of the adaptive partition of the truncation box.
+               quad: QuadratureSpec) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Factors of the adaptive partition of the truncation box, for
+    `_leaf_sum`.
 
-    In dimension <= 2 it is the tensor product of 1-d partitions, each
-    refined toward the singular coordinate and that axis's breaks; in
-    higher dimension one partition refined toward the singular point.
+    In dimension <= 2 one 1-d partition per axis, each refined toward
+    the singular coordinate and that axis's breaks, whose product is
+    the partition; in higher dimension one partition refined toward the
+    singular point.
     """
     d = singular.size
     half = quad.truncation_radius
     base, top = quad.depths(d)
     if d > 2:
-        return _dyadic_cells(np.full(d, -half), np.full(d, half), singular,
-                             base, top)
-    axes = [_dyadic_cells([-half], [half], [s] + list(b), base, top)
-            for s, b in zip(singular, breaks)]
-
-    def product(corners):
-        grids = np.meshgrid(*[c[:, 0] for c in corners], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
-
-    return product([lo for lo, _ in axes]), product([hi for _, hi in axes])
+        return [_dyadic_cells(np.full(d, -half), np.full(d, half), singular,
+                              base, top)]
+    axes = {}   # axes with the same targets share one partition
+    for s, b in zip(singular, breaks):
+        key = (s, *b)
+        if key not in axes:
+            axes[key] = _dyadic_cells([-half], [half], key, base, top)
+    return [axes[(s, *b)] for s, b in zip(singular, breaks)]
 
 
 _WARP_POWER = 3.0  # exponent of the per-axis power map
 
 
-def _qmc_integral(func: Callable[[np.ndarray], np.ndarray],
+def _qmc_integral(func: Callable[..., np.ndarray],
                   singular: np.ndarray,
+                  blocks: Sequence[int],
                   half_width: float,
                   samples: int,
                   seed: int) -> Tuple[float, float]:
@@ -249,6 +280,8 @@ def _qmc_integral(func: Callable[[np.ndarray], np.ndarray],
     centered at the singular point; the Jacobian weight tames the
     kernel singularity.  Deterministic for a fixed seed.
     """
+    from scipy.stats import qmc
+
     d = singular.size
     s = np.clip(singular, -half_width, half_width)
     m_bits = max(4, int(math.ceil(math.log2(samples))))
@@ -264,28 +297,38 @@ def _qmc_integral(func: Callable[[np.ndarray], np.ndarray],
     jac = np.prod(2.0 * _WARP_POWER * au ** (_WARP_POWER - 1.0) * side,
                   axis=1)
 
-    vals = func(y) * jac
+    vals = func(*np.split(y, np.cumsum(blocks)[:-1], axis=1)) * jac
     value = float(vals.mean())
     half = float(vals[: samples // 2].mean()) if samples >= 2 else value
     return value, abs(value - half)
 
 
-def _box_integral(func, singular: np.ndarray, breaks: List[List[float]],
+def _box_integral(func, singular: Sequence[np.ndarray],
+                  breaks: List[List[float]],
                   quad: QuadratureSpec) -> NormEstimate:
+    """Integral of func over the truncation box.  func takes one
+    (..., n_b) point array per coordinate block, and `singular` holds
+    the kernel's singular point block by block."""
+    blocks = [s.size for s in singular]
+    singular = np.concatenate(singular)
     if quad.scheme == "qmc":
-        value, err = _qmc_integral(func, singular, quad.truncation_radius,
-                                   quad.samples, quad.seed)
+        value, err = _qmc_integral(func, singular, blocks,
+                                   quad.truncation_radius, quad.samples,
+                                   quad.seed)
     else:
-        value, err = _leaf_sum(func, *_partition(singular, breaks, quad))
+        value, err = _leaf_sum(func, _partition(singular, breaks, quad),
+                               blocks)
     return NormEstimate(value, err, "quadrature")
 
 
 def _safe_power(base: np.ndarray, lam: float) -> np.ndarray:
-    """base^(-lam) with base = 0 mapped to 0 (a measure-zero point)."""
-    out = np.zeros_like(base)
-    pos = base > 0
-    out[pos] = base[pos] ** (-lam)
-    return out
+    """base^(-lam), computed in place of base (a fresh array), with
+    base = 0 mapped to 0 (a measure-zero point)."""
+    zero = base <= 0
+    with np.errstate(divide="ignore"):
+        base **= -lam
+    base[zero] = 0.0
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +350,14 @@ def eval_bilinear(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
     s1 = cfg.D1.to_float() @ x
     s2 = cfg.D2.to_float() @ x
 
-    def integrand(y):
-        y1, y2 = y[:, :n1], y[:, n1:]
-        base = (np.linalg.norm(s1 - y1, axis=1)
-                + np.linalg.norm(s2 - y2, axis=1))
-        return f1.values(y1) * f2.values(y2) * _safe_power(base, lam)
+    def integrand(y1, y2):
+        kernel = _safe_power(np.linalg.norm(s1 - y1, axis=-1)
+                             + np.linalg.norm(s2 - y2, axis=-1), lam)
+        kernel *= f1.values(y1) * f2.values(y2)
+        return kernel
 
-    return _box_integral(integrand, np.concatenate([s1, s2]),
-                         f1.breaks() + f2.breaks(), quad)
+    return _box_integral(integrand, (s1, s2), f1.breaks() + f2.breaks(),
+                         quad)
 
 
 def eval_linear(n: int, m: int, D: RationalMatrix, lam, f: TestFunction,
@@ -329,9 +372,10 @@ def eval_linear(n: int, m: int, D: RationalMatrix, lam, f: TestFunction,
     s = D.to_float() @ x
 
     def integrand(y):
-        return f.values(y) * _safe_power(np.linalg.norm(s - y, axis=1), lam_f)
+        return f.values(y) * _safe_power(np.linalg.norm(s - y, axis=-1),
+                                         lam_f)
 
-    return _box_integral(integrand, s, f.breaks(), quad)
+    return _box_integral(integrand, (s,), f.breaks(), quad)
 
 
 def eval_radial(n: int, m: int, lam, f: TestFunction, x,
@@ -346,9 +390,10 @@ def eval_radial(n: int, m: int, lam, f: TestFunction, x,
     ax = float(np.linalg.norm(x))
 
     def integrand(y):
-        return f.values(y) * _safe_power(ax + np.linalg.norm(y, axis=1), lam_f)
+        return f.values(y) * _safe_power(ax + np.linalg.norm(y, axis=-1),
+                                         lam_f)
 
-    return _box_integral(integrand, np.zeros(n), f.breaks(), quad)
+    return _box_integral(integrand, (np.zeros(n),), f.breaks(), quad)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,20 @@ RADIAL = {"operator": "radial", "n": 1, "m": 1, "lambda": "3/2",
                              "f2": {"tag": "indicator-ball", "dim": 1,
                                     "center": [-INF]}}),
      "witnesses.f2"),
+    ("norm", dict(BILINEAR, **{"lambda": "1/2"}, x=[0.5],
+                  witnesses={"f1": {"tag": "dilated", "dim": 1, "a": 2.0,
+                                    "inner": {"tag": "gaussian", "dim": 1,
+                                              "scale": "a"}},
+                             "f2": {"tag": "gaussian", "dim": 1}}),
+     "witnesses.f1"),
+    ("norm", dict(BILINEAR, **{"lambda": "1/2"}, x=[0.5],
+                  witnesses={"f1": {"tag": "gaussian", "dim": 1},
+                             "f2": {"tag": "indicator-ball", "dim": 1,
+                                    "radius": True}}),
+     "witnesses.f2"),
+    ("norm", dict(LINEAR, witnesses={"f": {"tag": "power-log", "dim": 1,
+                                           "p": [2.0]}}),
+     "witnesses.f"),
 ])
 def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
                                               key):
@@ -166,6 +180,22 @@ def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.split()[1].rstrip(":") == key
+
+
+def test_exact_modes_do_not_import_scipy(tmp_path):
+    """scipy loads only with the quadrature that needs it: importing
+    the CLI and classifying leave it unimported."""
+    path = write_config(tmp_path, dict(BASE, p1="2", p2="2", q="2"))
+    script = ("import sys\n"
+              "import bifrac.cli\n"
+              f"code = bifrac.cli.main(['--config', {path!r}, "
+              "'--mode', 'classify'])\n"
+              "print(code, sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_sweep_matches_direct_classification(tmp_path, capsys):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bifrac import functions
 from bifrac.classifier import Clause, classify_bilinear, make_config
 from bifrac.exponents import Exponent
 from bifrac.functions import (Constant, DivergentNormError, Gaussian,
@@ -19,6 +20,35 @@ from bifrac.functions import (Constant, DivergentNormError, Gaussian,
 
 
 # -- pointwise evaluation ---------------------------------------------
+
+
+VALUES_BANK = [
+    IndicatorBall(dim=2, radius=0.7, center=(0.1, -0.2)),
+    MollifiedDelta(dim=2, width=0.8),
+    PowerLog(dim=2, p=4.0),
+    SplitPowerLog(dim=2, head=1, tail=1),
+    Constant(dim=2, value=3.0),
+    Gaussian(dim=2, scale=0.5),
+    dilate(Gaussian(dim=2), 2.0),
+    translate(PowerLog(dim=2), [0.25, -0.5], mask=[True, False]),
+]
+
+
+@pytest.mark.parametrize("f", VALUES_BANK,
+                         ids=[type(f).__name__ for f in VALUES_BANK])
+def test_values_keep_the_leading_axes(f):
+    """values on a (2, 3, dim) array is the (2, 3) array of the values
+    at its points."""
+    y = np.random.default_rng(5).uniform(-1.0, 1.0, (2, 3, f.dim))
+    out = f.values(y)
+    assert out.shape == (2, 3)
+    assert np.array_equal(out.ravel(), f.values(y.reshape(6, f.dim)))
+    assert np.array_equal(out.ravel(), [evaluate(f, p)
+                                        for p in y.reshape(6, f.dim)])
+
+
+def test_values_bank_covers_every_descriptor_class():
+    assert {type(f) for f in VALUES_BANK} == set(functions._TAGS.values())
 
 
 def test_indicator_ball_values():
@@ -355,3 +385,39 @@ def test_descriptor_round_trip():
 def test_unknown_tag_rejected():
     with pytest.raises(ValueError):
         descriptor_from_dict({"tag": "mystery", "dim": 1})
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"tag": "gaussian", "dim": 1, "scale": "a"},
+     "scale must be a finite number, got 'a'"),
+    ({"tag": "indicator-ball", "dim": 1, "radius": True},
+     "radius must be a finite number, got True"),
+    ({"tag": "gaussian", "dim": 1.0},
+     "dim must be an integer, got 1.0"),
+    ({"tag": "dilated", "dim": 1, "a": 2.0,
+      "inner": {"tag": "gaussian", "dim": 1, "scale": None}},
+     "inner.scale must be a finite number, got None"),
+    ({"tag": "translated", "dim": 1, "z": [0.5],
+      "inner": {"tag": "dilated", "dim": 1, "a": "2",
+                "inner": {"tag": "gaussian", "dim": 1}}},
+     "inner.a must be a finite number, got '2'"),
+    ({"tag": "translated", "dim": 1, "z": ["0.5"],
+      "inner": {"tag": "gaussian", "dim": 1}},
+     r"z\[0\] must be a finite number, got '0.5'"),
+    ({"tag": "translated", "dim": 1, "z": [0.5], "mask": [1.0],
+      "inner": {"tag": "gaussian", "dim": 1}},
+     r"mask\[0\] must be true or false, got 1.0"),
+    ({"tag": "dilated", "dim": 1, "a": 2.0, "inner": 3},
+     "inner must be a descriptor object, got 3"),
+    ({"tag": "power-log", "dim": 1, "p": [2.0]},
+     r"p must be a finite number, got \[2.0\]"),
+    ({"tag": "translated", "dim": 1, "z": 0.5,
+      "inner": {"tag": "gaussian", "dim": 1}},
+     "z must be a list, got 0.5"),
+    ({"tag": "dilated", "dim": 1, "a": 2.0,
+      "inner": {"tag": "gaussian", "dim": 1, "scal": 2.0}},
+     "inner.scal is not a parameter of 'gaussian'"),
+])
+def test_wrongly_typed_parameter_is_refused_by_its_path(d, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        descriptor_from_dict(d)

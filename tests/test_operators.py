@@ -1,6 +1,7 @@
 """Numerical operator evaluation: closed-form oracles, structural
 identities and probe behavior."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from bifrac.classifier import make_config
 from bifrac.functions import (Constant, Gaussian, IndicatorBall,
-                              MollifiedDelta, PowerLog, dilate)
+                              MollifiedDelta, PowerLog, SplitPowerLog, dilate,
+                              translate)
 from bifrac import operators
 from bifrac.matrices import RationalMatrix
 from bifrac.operators import (GridSpec, NonIntegrableError, QuadratureSpec,
@@ -100,18 +102,32 @@ def axis_cells_reference(half, specials, base_depth, max_depth):
     return np.array(leaves)
 
 
+def leaves(factors):
+    """The leaves of a factored partition as (k, d) lower and upper
+    corners, factor 0 slowest."""
+    def product(corners):
+        grids = np.meshgrid(*[c[:, 0] for c in corners], indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=-1)
+
+    if len(factors) == 1:
+        return factors[0]
+    return (product([lo for lo, _ in factors]),
+            product([hi for _, hi in factors]))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_partition_tiles_the_truncation_box(d):
     quad = QuadratureSpec()
     singular = np.linspace(0.3, -0.7, d)
     breaks = [[-1.0, 1.0]] * d
-    lo, hi = _partition(singular, breaks, quad)
+    lo, hi = leaves(_partition(singular, breaks, quad))
     assert np.all(lo >= -8.0) and np.all(hi <= 8.0) and np.all(hi > lo)
     assert float(np.sum(np.prod(hi - lo, axis=1))) == 16.0 ** d
 
 
 def test_partition_1d_leaves_abut():
-    lo, hi = _partition(np.array([0.3]), [[-1.0, 1.0]], QuadratureSpec())
+    lo, hi = leaves(_partition(np.array([0.3]), [[-1.0, 1.0]],
+                               QuadratureSpec()))
     order = np.argsort(lo[:, 0])
     lo, hi = lo[order, 0], hi[order, 0]
     assert lo[0] == -8.0 and hi[-1] == 8.0
@@ -122,7 +138,7 @@ def test_partition_1d_leaves_abut():
 def test_singular_leaf_has_finest_width(d):
     singular = np.full(d, 0.3)
     for quad in (QuadratureSpec(max_depth=7, base_depth=2), QuadratureSpec()):
-        lo, hi = _partition(singular, [[]] * d, quad)
+        lo, hi = leaves(_partition(singular, [[]] * d, quad))
         inside = np.all((lo <= singular) & (singular < hi), axis=1)
         assert inside.sum() == 1
         width = 16.0 * 2.0 ** -quad.depths(d)[1]
@@ -181,6 +197,149 @@ def test_chunked_leaf_sum_is_bit_identical(monkeypatch, n, f1, f2, quad):
     assert math.isfinite(whole.value) and whole.value > 0
     assert (chunked.value, chunked.abs_error) == (whole.value,
                                                   whole.abs_error)
+
+
+# -- the factored leaf evaluation against the pointwise one -----------
+
+
+def partition_reference(singular, breaks, quad):
+    """The former `_partition`: the leaves multiplied out into (k, d)
+    arrays, the axis partitions' product in dimension <= 2."""
+    d = singular.size
+    half = quad.truncation_radius
+    base, top = quad.depths(d)
+    if d > 2:
+        return _dyadic_cells(np.full(d, -half), np.full(d, half), singular,
+                             base, top)
+    return leaves([_dyadic_cells([-half], [half], [s] + list(b), base, top)
+                   for s, b in zip(singular, breaks)])
+
+
+def leaf_sum_reference(func, lo, hi, chunk_points=1 << 20):
+    """The former `_leaf_sum`: every integrand point as a d-vector,
+    the integrand called on (N, d) arrays."""
+    d = lo.shape[1]
+    corners = np.array(list(itertools.product((0.25, 0.75), repeat=d)))
+    step = max(1, chunk_points // len(corners))
+    coarse, fine = [], []
+    for k in range(0, len(lo), step):
+        clo, chi = lo[k:k + step], hi[k:k + step]
+        width = chi - clo
+        vol = np.prod(width, axis=1)
+        coarse.append(func((clo + chi) / 2.0) * vol)
+        sub = clo[:, None, :] + corners[None, :, :] * width[:, None, :]
+        fine.append(func(sub.reshape(-1, d)).reshape(len(clo), -1)
+                    .mean(axis=1) * vol)
+    coarse, fine = np.concatenate(coarse), np.concatenate(fine)
+    value = float(np.sum(fine + (fine - coarse) / 3.0))
+    err = float(np.sum(np.abs(fine - coarse)))
+    return value, err
+
+
+def safe_power_reference(base, lam):
+    out = np.zeros_like(base)
+    pos = base > 0
+    out[pos] = base[pos] ** (-lam)
+    return out
+
+
+def pointwise_reference(integrand, singular, breaks, quad):
+    return leaf_sum_reference(integrand,
+                              *partition_reference(singular, breaks, quad))
+
+
+def bilinear_case(cfg, f1, f2, x, quad=QuadratureSpec()):
+    """(factored, pointwise) evaluations of I(f1, f2)(x)."""
+    xs = np.asarray(x, dtype=float)
+    s1, s2 = cfg.D1.to_float() @ xs, cfg.D2.to_float() @ xs
+
+    def integrand(y):
+        y1, y2 = y[:, :cfg.n1], y[:, cfg.n1:]
+        base = (np.linalg.norm(s1 - y1, axis=1)
+                + np.linalg.norm(s2 - y2, axis=1))
+        return (f1.values(y1) * f2.values(y2)
+                * safe_power_reference(base, float(cfg.lam)))
+
+    return (lambda: eval_bilinear(cfg, f1, f2, x, quad),
+            lambda: pointwise_reference(integrand, np.concatenate([s1, s2]),
+                                        f1.breaks() + f2.breaks(), quad))
+
+
+def linear_case(n, lam, f, x, quad=QuadratureSpec()):
+    D = RationalMatrix.from_rows([[int(i == j) for j in range(n)]
+                                  for i in range(n)])
+    s = np.asarray(x, dtype=float)
+
+    def integrand(y):
+        return f.values(y) * safe_power_reference(
+            np.linalg.norm(s - y, axis=1), float(lam))
+
+    return (lambda: eval_linear(n, n, D, lam, f, x, quad),
+            lambda: pointwise_reference(integrand, s, f.breaks(), quad))
+
+
+def radial_case(n, lam, f, x, quad=QuadratureSpec()):
+    ax = float(np.linalg.norm(x))
+
+    def integrand(y):
+        return f.values(y) * safe_power_reference(
+            ax + np.linalg.norm(y, axis=1), float(lam))
+
+    return (lambda: eval_radial(n, len(x), lam, f, x, quad),
+            lambda: pointwise_reference(integrand, np.zeros(n), f.breaks(),
+                                        quad))
+
+
+def gaussians(n1, n2, lam, quad=QuadratureSpec()):
+    cols = [[[int(i == j) for j in range(n1)] for i in range(k)]
+            for k in (n1, n2)]
+    cfg = make_config(n1, n2, n1, cols[0], cols[1], 2, 2, 2, lam)
+    x = list(np.linspace(0.3, -0.2, n1))
+    return bilinear_case(cfg, Gaussian(dim=n1), Gaussian(dim=n2), x, quad)
+
+
+ONE = make_config(1, 1, 1, [[1]], [[2]], 2, 2, 2, Fraction(1, 2))
+ONE_TWO = make_config(1, 2, 1, [[1]], [[1], [0]], 2, 2, 2, Fraction(2))
+
+FACTORED_BANK = {
+    "1+1-gaussians-18/8": bilinear_case(
+        make_config(1, 1, 1, [[1]], [[1]], 4, 4, 4, Fraction(7, 4)),
+        Gaussian(dim=1), Gaussian(dim=1), [0.3],
+        QuadratureSpec(max_depth=18, base_depth=8)),
+    "indicator-x-delta": bilinear_case(
+        ONE, IndicatorBall(dim=1), MollifiedDelta(dim=1, width=0.25), [0.7]),
+    "delta-x-powerlog": bilinear_case(
+        ONE, MollifiedDelta(dim=1, width=1 / 64), PowerLog(dim=1), [0.7]),
+    "shifted-dilated-indicator-x-split-powerlog": bilinear_case(
+        ONE_TWO, translate(dilate(IndicatorBall(dim=1), 0.5), [0.3]),
+        SplitPowerLog(dim=2, head=1, tail=1), [0.2]),
+    "2+1-gaussians": gaussians(2, 1, Fraction(2)),
+    "2+2-gaussians": gaussians(2, 2, Fraction(3)),
+    "3+3-gaussians": gaussians(3, 3, Fraction(9, 2),
+                               QuadratureSpec(max_depth=3)),
+    "linear-1": linear_case(1, Fraction(1, 2), IndicatorBall(dim=1), [0.0]),
+    "linear-2": linear_case(2, Fraction(1), PowerLog(dim=2, p=4.0),
+                            [0.2, -0.1]),
+    "radial-2-constant": radial_case(2, Fraction(3), Constant(dim=2),
+                                     [0.7]),
+}
+
+
+@pytest.mark.parametrize("chunk_points", [None, 1 << 14],
+                         ids=["one-chunk", "chunked"])
+@pytest.mark.parametrize("case", list(FACTORED_BANK.values()),
+                         ids=list(FACTORED_BANK))
+def test_factored_leaf_sum_matches_pointwise(monkeypatch, case,
+                                             chunk_points):
+    """Evaluating each block once per distinct coordinate gives the
+    value and the error estimate of the pointwise evaluation bit for
+    bit, whatever the chunking."""
+    factored, pointwise = case
+    if chunk_points is not None:
+        monkeypatch.setattr(operators, "_CHUNK_POINTS", chunk_points)
+    est = factored()
+    assert math.isfinite(est.value) and est.value != 0
+    assert (est.value, est.abs_error) == pointwise()
 
 
 def test_quadrature_spec_rejects_unknown_scheme():
