@@ -100,9 +100,14 @@ class OperatorConfig:
 def check_shapes(n1: int, n2: int, m: int,
                  D1: RationalMatrix, D2: RationalMatrix) -> None:
     """Raise ValueError unless D1 is n1 x m and D2 is n2 x m."""
-    for name, D, n in (("D1", D1, n1), ("D2", D2, n2)):
-        if (D.rows, D.cols) != (n, m):
-            raise ValueError(f"{name} must be {n}x{m}, got {D.rows}x{D.cols}")
+    check_shape("D1", D1, n1, m)
+    check_shape("D2", D2, n2, m)
+
+
+def check_shape(name: str, D: RationalMatrix, n: int, m: int) -> None:
+    """Raise ValueError, naming the matrix, unless D is n x m."""
+    if (D.rows, D.cols) != (n, m):
+        raise ValueError(f"{name} must be {n}x{m}, got {D.rows}x{D.cols}")
 
 
 def make_config(n1, n2, m, D1, D2, p1, p2, q, lam) -> OperatorConfig:

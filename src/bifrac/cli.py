@@ -23,8 +23,8 @@ from typing import Optional
 from .classifier import (HypothesisError, check_shapes, classify_bilinear,
                          decide, make_config)
 from .exponents import Exponent, homogeneous_lambda, parse_rational
-from .functions import (DivergentNormError, NoWitnessError, _check_real,
-                        descriptor_from_dict, witness_for)
+from .functions import (DivergentNormError, NoWitnessError, _check_int,
+                        _check_real, descriptor_from_dict, witness_for)
 from .matrices import (RankDeficientStackError, RationalMatrix,
                        joint_normal_form, signature, single_normal_form)
 from .operators import (GridSpec, NonIntegrableError, QuadratureSpec,
@@ -76,19 +76,13 @@ def _require(cfg: dict, *keys):
         raise ConfigError(f"config is missing required keys: {missing}")
 
 
-def _dimension(cfg: dict, key: str) -> int:
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
-    return value
-
-
 def _exact(cfg: dict, key: str, parse=parse_rational):
     """cfg[key] parsed exactly (floats are refused), naming the key on
     failure."""
+    value = cfg[key]
     try:
-        return parse(cfg[key])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return parse(value)
+    except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 
@@ -100,11 +94,12 @@ def _resolve_lambda(cfg: dict, n1, n2, m, p1, p2, q):
 
 def _bilinear_config(cfg: dict):
     _require(cfg, "n1", "n2", "m", "D1", "D2", "p1", "p2", "q")
-    n1, n2, m = (_dimension(cfg, k) for k in ("n1", "n2", "m"))
+    n1, n2, m = (_check_int(k, cfg[k], 1) for k in ("n1", "n2", "m"))
     p1, p2, q = (_exact(cfg, k, Exponent.from_value)
                  for k in ("p1", "p2", "q"))
     lam, auto = _resolve_lambda(cfg, n1, n2, m, p1, p2, q)
-    oc = make_config(n1, n2, m, cfg["D1"], cfg["D2"], p1, p2, q, lam)
+    D1, D2 = (_exact(cfg, k, RationalMatrix.from_rows) for k in ("D1", "D2"))
+    oc = make_config(n1, n2, m, D1, D2, p1, p2, q, lam)
     return oc, auto
 
 
@@ -163,8 +158,7 @@ def cmd_classify(cfg: dict, args) -> int:
 
 def cmd_reduce(cfg: dict, args) -> int:
     _require(cfg, "D1", "D2")
-    D1 = RationalMatrix.from_rows(cfg["D1"])
-    D2 = RationalMatrix.from_rows(cfg["D2"])
+    D1, D2 = (_exact(cfg, k, RationalMatrix.from_rows) for k in ("D1", "D2"))
     _, _, m, r1, r2, stacked = signature(D1, D2)
     record = {"r1": r1, "r2": r2, "stacked_rank": stacked, "m": m}
     s1 = single_normal_form(D1)
@@ -199,9 +193,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     if not (isinstance(divisor, int) and 2 <= divisor <= 64):
         raise ConfigError(f"sweep: divisor must be an integer in [2, 64], "
                           f"got {divisor!r}")
-    n1, n2, m = (_dimension(cfg, k) for k in ("n1", "n2", "m"))
-    D1 = RationalMatrix.from_rows(cfg["D1"])
-    D2 = RationalMatrix.from_rows(cfg["D2"])
+    n1, n2, m = (_check_int(k, cfg[k], 1) for k in ("n1", "n2", "m"))
+    D1, D2 = (_exact(cfg, k, RationalMatrix.from_rows) for k in ("D1", "D2"))
     check_shapes(n1, n2, m, D1, D2)
     sig = signature(D1, D2)
     lattice = [Exponent(Fraction(i, divisor)) for i in range(divisor + 1)]
@@ -268,13 +261,13 @@ def cmd_norm(cfg: dict, args) -> int:
             est = lq_norm_on_grid(oc, f1, f2, grid, quad)
     elif operator == "linear":
         _require(cfg, "n", "m", "D", "lambda", "x")
-        n, m = _dimension(cfg, "n"), _dimension(cfg, "m")
-        est = eval_linear(n, m, RationalMatrix.from_rows(cfg["D"]),
+        n, m = _check_int("n", cfg["n"], 1), _check_int("m", cfg["m"], 1)
+        est = eval_linear(n, m, _exact(cfg, "D", RationalMatrix.from_rows),
                           _exact(cfg, "lambda"), _witness(cfg, "f"),
                           _point(cfg, m), quad)
     elif operator == "radial":
         _require(cfg, "n", "m", "lambda", "x")
-        n, m = _dimension(cfg, "n"), _dimension(cfg, "m")
+        n, m = _check_int("n", cfg["n"], 1), _check_int("m", cfg["m"], 1)
         est = eval_radial(n, m, _exact(cfg, "lambda"), _witness(cfg, "f"),
                           _point(cfg, m), quad)
     else:
@@ -304,11 +297,14 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        if not isinstance(cfg, dict):
+            raise ValueError(f"the top level must be an object, "
+                             f"got {type(cfg).__name__}")
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_INVALID
     mode = args.mode or cfg.get("mode")
-    if mode not in _COMMANDS:
+    if not isinstance(mode, str) or mode not in _COMMANDS:
         print(f"error: unknown or missing mode {mode!r}", file=sys.stderr)
         return EXIT_INVALID
     try:

@@ -4,16 +4,18 @@ Lp norms.
 Descriptors are immutable and evaluation is lazy, so quadrature can
 refine arbitrarily close to singular points without re-ingesting data.
 Each descriptor class carries its own pointwise values (on a (..., dim)
-array of points), its Lp norm and its quadrature breakpoints, so a new
-witness is one class plus one `_TAGS` entry for serialization.  scipy
-is imported only by the norms that need a radial quadrature.
+array of points), its Lp norm and its quadrature breakpoints, and the
+type annotations of its fields drive the checks of its serialized
+parameters, so a new witness is one class plus one `_TAGS` entry.
+scipy is imported only by the norms that need a radial quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence, Tuple
+from typing import (List, Optional, Sequence, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 import numpy as np
 
@@ -25,12 +27,13 @@ class DivergentNormError(ArithmeticError):
     """The requested Lp norm is infinite for this descriptor."""
 
 
-def _check_int(name: str, value, low: Optional[int] = None) -> None:
-    """Raise ValueError unless value is an int (bools refused) >= low."""
+def _check_int(name: str, value, low: Optional[int] = None) -> int:
+    """value, or ValueError unless it is an int (bools refused) >= low."""
     if (isinstance(value, bool) or not isinstance(value, int)
             or (low is not None and value < low)):
         bound = "" if low is None else f" >= {low}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
 
 
 def _check_real(name: str, value, positive: bool = False) -> None:
@@ -88,13 +91,15 @@ class IndicatorBall(TestFunction):
     """Characteristic function of a ball."""
 
     radius: float = 1.0
-    center: Tuple[float, ...] = None
+    center: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.center is None:
             object.__setattr__(self, "center", (0.0,) * self.dim)
+        if len(self.center) != self.dim:
+            raise ValueError("center dimension mismatch")
 
     def values(self, y):
         d = y - np.asarray(self.center)
@@ -514,33 +519,33 @@ def descriptor_to_dict(f: TestFunction) -> dict:
     return d
 
 
-def _check_bool(name: str, value) -> None:
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-
-
-def _check_param(name: str, key: str, v) -> None:
-    """Raise ValueError, naming the parameter, unless v fits descriptor
-    field `key`: a list of finite numbers (`center`, `z`) or of true or
-    false (`mask`), null meaning the default for `center` and `mask`;
-    a descriptor object (`inner`); an integer (`dim`, `head`, `tail`);
-    otherwise a finite number."""
-    if key in ("center", "z", "mask"):
-        if v is None and key != "z":
-            return
+def _parameter(name: str, hint, v):
+    """v, the JSON value of a descriptor field annotated `hint`, checked
+    and converted, or ValueError naming the parameter: Optional allows
+    null, Tuple[X, ...] is a list of X, TestFunction a nested descriptor
+    object, and otherwise v is a bool, an int or a finite number."""
+    if get_origin(hint) is Union:
+        if v is None:
+            return None
+        hint = get_args(hint)[0]
+    if get_origin(hint) is tuple:
         if not isinstance(v, list):
             raise ValueError(f"{name} must be a list, got {v!r}")
-        check = _check_bool if key == "mask" else _check_real
-        for i, u in enumerate(v):
-            check(f"{name}[{i}]", u)
-    elif key == "inner":
+        return tuple(_parameter(f"{name}[{i}]", get_args(hint)[0], u)
+                     for i, u in enumerate(v))
+    if hint is TestFunction:
         if not isinstance(v, dict):
             raise ValueError(f"{name} must be a descriptor object, "
                              f"got {v!r}")
-    elif key in ("dim", "head", "tail"):
+        return descriptor_from_dict(v, name + ".")
+    if hint is bool:
+        if not isinstance(v, bool):
+            raise ValueError(f"{name} must be true or false, got {v!r}")
+    elif hint is int:
         _check_int(name, v)
     else:
         _check_real(name, v)
+    return v
 
 
 def descriptor_from_dict(d: dict, path: str = "") -> TestFunction:
@@ -553,14 +558,9 @@ def descriptor_from_dict(d: dict, path: str = "") -> TestFunction:
     tag = d.pop("tag", None)
     if tag not in _TAGS:
         raise ValueError(f"unknown descriptor tag {tag!r}")
-    known = {field.name for field in fields(_TAGS[tag])}
+    hints = get_type_hints(_TAGS[tag])
     for key, v in d.items():
-        name = path + key
-        if key not in known:
-            raise ValueError(f"{name} is not a parameter of {tag!r}")
-        _check_param(name, key, v)
-        if key == "inner":
-            d[key] = descriptor_from_dict(v, name + ".")
-        elif isinstance(v, list):
-            d[key] = tuple(v)
+        if key not in hints:
+            raise ValueError(f"{path + key} is not a parameter of {tag!r}")
+        d[key] = _parameter(path + key, hints[key], v)
     return _TAGS[tag](**d)

@@ -1,15 +1,25 @@
 """Numerical evaluation of the fractional integral operators.
 
-Two quadrature schemes share one contract: integrate a locally
-integrable singular integrand over a truncation box and return a value
-with an error estimate.  An integrand takes one point array per
-coordinate block of the operator, (y1, y2) for the bilinear kernel and
-(y,) for the linear and radial ones; each has shape (..., n_b), their
-leading shapes broadcast against each other and the integrand returns
-values of the broadcast shape.  So a factor of the integrand that
-depends on one block, a witness or a block distance, is computed once
-per distinct block coordinate, and only the product of the factors and
-the kernel power run on every point.
+All three operators are one kernel form, evaluated by `_evaluate`: the
+integral over the truncation box of
+
+    prod_b f_b(y_b) * (offset + sum_b |c_b - y_b|)^-lam,
+
+one input f_b and centre c_b per coordinate block y_b in R^(n_b).  The
+bilinear operator has two blocks centred at (D1 x, D2 x), the linear
+one a single block centred at Dx, and the radial one a single block
+centred at 0 with offset |x|.  The kernel is locally integrable exactly
+when 0 < lam < sum_b n_b, or 0 < lam when offset > 0; any other order
+raises NonIntegrableError.
+
+Two quadrature schemes share one contract: integrate this singular
+integrand over the box and return a value with an error estimate.  The
+integrand takes one point array per block, each of shape (..., n_b);
+their leading shapes broadcast against each other and the integrand
+returns values of the broadcast shape.  So a factor that depends on one
+block, an input or a block distance, is computed once per distinct
+block coordinate, and only the product of the factors and the kernel
+power run on every point.
 
 * adaptive-dyadic: one builder, `_dyadic_cells`, makes every
   partition: uniform dyadic splits to a base depth, then only boxes
@@ -48,7 +58,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classifier import OperatorConfig
+from .classifier import OperatorConfig, check_shape
 from .functions import (NormEstimate, TestFunction, _check_int, _check_real,
                         dilate, lp_norm, translate)
 from .matrices import RationalMatrix
@@ -303,32 +313,45 @@ def _qmc_integral(func: Callable[..., np.ndarray],
     return value, abs(value - half)
 
 
-def _box_integral(func, singular: Sequence[np.ndarray],
-                  breaks: List[List[float]],
-                  quad: QuadratureSpec) -> NormEstimate:
-    """Integral of func over the truncation box.  func takes one
-    (..., n_b) point array per coordinate block, and `singular` holds
-    the kernel's singular point block by block."""
-    blocks = [s.size for s in singular]
-    singular = np.concatenate(singular)
+def _evaluate(inputs: Sequence[TestFunction], centres: Sequence[np.ndarray],
+              lam, quad: QuadratureSpec, offset: float = 0.0) -> NormEstimate:
+    """Integral of prod_b f_b(y_b) (offset + sum_b |c_b - y_b|)^-lam over
+    the truncation box, for one input f_b and centre c_b per coordinate
+    block.  Refuses an input whose dim is not its block's size, and a
+    kernel order outside (0, sum_b n_b), or outside (0, inf) when
+    offset > 0; the kernel is 0 at the singular point."""
+    blocks = [c.size for c in centres]
+    for f, n in zip(inputs, blocks):
+        if f.dim != n:
+            raise ValueError(f"input of dim {f.dim} on a block of dim {n}")
+    top = sum(blocks) if offset == 0 else math.inf
+    if not 0 < lam < top:
+        raise NonIntegrableError(f"kernel order {lam} is outside (0, {top}),"
+                                 f" not locally integrable in R^{sum(blocks)}")
+    lam = float(lam)
+
+    def integrand(*ys):
+        # the offset plus each block distance in turn, then the power and
+        # the inputs' product in place: the one full-size array
+        base = sum((np.linalg.norm(c - y, axis=-1)
+                    for c, y in zip(centres, ys)), offset)
+        zero = base <= 0    # the singular point, of measure zero
+        with np.errstate(divide="ignore"):
+            base **= -lam
+        base[zero] = 0.0
+        base *= math.prod(f.values(y) for f, y in zip(inputs, ys))
+        return base
+
+    singular = np.concatenate(centres)
     if quad.scheme == "qmc":
-        value, err = _qmc_integral(func, singular, blocks,
+        value, err = _qmc_integral(integrand, singular, blocks,
                                    quad.truncation_radius, quad.samples,
                                    quad.seed)
     else:
-        value, err = _leaf_sum(func, _partition(singular, breaks, quad),
+        breaks = [axis for f in inputs for axis in f.breaks()]
+        value, err = _leaf_sum(integrand, _partition(singular, breaks, quad),
                                blocks)
     return NormEstimate(value, err, "quadrature")
-
-
-def _safe_power(base: np.ndarray, lam: float) -> np.ndarray:
-    """base^(-lam), computed in place of base (a fresh array), with
-    base = 0 mapped to 0 (a measure-zero point)."""
-    zero = base <= 0
-    with np.errstate(divide="ignore"):
-        base **= -lam
-    base[zero] = 0.0
-    return base
 
 
 # ---------------------------------------------------------------------------
@@ -339,61 +362,26 @@ def eval_bilinear(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
                   x, quad: QuadratureSpec = QuadratureSpec()) -> NormEstimate:
     """I(f1, f2)(x): integral of f1(y1) f2(y2) against the kernel
     (|D1 x - y1| + |D2 x - y2|)^-lam over the truncation box."""
-    n1, n2 = cfg.n1, cfg.n2
-    lam = float(cfg.lam)
-    if not 0 < cfg.lam < n1 + n2:
-        raise NonIntegrableError(
-            f"kernel order {cfg.lam} not locally integrable in R^{n1 + n2}")
-    if f1.dim != n1 or f2.dim != n2:
-        raise ValueError("witness dimensions do not match the config")
     x = np.asarray(x, dtype=float).reshape(cfg.m)
-    s1 = cfg.D1.to_float() @ x
-    s2 = cfg.D2.to_float() @ x
-
-    def integrand(y1, y2):
-        kernel = _safe_power(np.linalg.norm(s1 - y1, axis=-1)
-                             + np.linalg.norm(s2 - y2, axis=-1), lam)
-        kernel *= f1.values(y1) * f2.values(y2)
-        return kernel
-
-    return _box_integral(integrand, (s1, s2), f1.breaks() + f2.breaks(),
-                         quad)
+    centres = (cfg.D1.to_float() @ x, cfg.D2.to_float() @ x)
+    return _evaluate((f1, f2), centres, cfg.lam, quad)
 
 
 def eval_linear(n: int, m: int, D: RationalMatrix, lam, f: TestFunction,
                 x, quad: QuadratureSpec = QuadratureSpec()) -> NormEstimate:
-    """Generalized Riesz potential: integral of f(y) |Dx - y|^-lam."""
-    lam_f = float(lam)
-    if not 0 < lam_f < n:
-        raise NonIntegrableError(f"order {lam} not locally integrable in R^{n}")
-    if f.dim != n:
-        raise ValueError("input dimension does not match n")
+    """Generalized Riesz potential: integral of f(y) |Dx - y|^-lam, for
+    an n x m matrix D."""
+    check_shape("D", D, n, m)
     x = np.asarray(x, dtype=float).reshape(m)
-    s = D.to_float() @ x
-
-    def integrand(y):
-        return f.values(y) * _safe_power(np.linalg.norm(s - y, axis=-1),
-                                         lam_f)
-
-    return _box_integral(integrand, (s,), f.breaks(), quad)
+    return _evaluate((f,), (D.to_float() @ x,), lam, quad)
 
 
 def eval_radial(n: int, m: int, lam, f: TestFunction, x,
                 quad: QuadratureSpec = QuadratureSpec()) -> NormEstimate:
     """Radial operator: integral of f(y) (|x| + |y|)^-lam."""
-    lam_f = float(lam)
-    if lam_f <= 0:
-        raise NonIntegrableError("order must be positive")
-    if f.dim != n:
-        raise ValueError("input dimension does not match n")
     x = np.asarray(x, dtype=float).reshape(m)
-    ax = float(np.linalg.norm(x))
-
-    def integrand(y):
-        return f.values(y) * _safe_power(ax + np.linalg.norm(y, axis=-1),
-                                         lam_f)
-
-    return _box_integral(integrand, (np.zeros(n),), f.breaks(), quad)
+    return _evaluate((f,), (np.zeros(n),), lam, quad,
+                     offset=float(np.linalg.norm(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,18 @@ def test_malformed_config_exit_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     assert main(["--config", str(path), "--mode", "classify"]) == 2
+    path.write_bytes(b"\xff{}")
+    assert main(["--config", str(path), "--mode", "classify"]) == 2
     assert main(["--config", str(tmp_path / "absent.json"),
                  "--mode", "classify"]) == 2
+
+
+@pytest.mark.parametrize("payload", [[1, 2], {"mode": []}])
+def test_malformed_top_level_exits_two(tmp_path, capsys, payload):
+    """A config that is not an object, or whose mode is not a string,
+    is refused as invalid input when no --mode is given."""
+    code = main(["--config", write_config(tmp_path, payload)])
+    assert code == 2 and capsys.readouterr().out == ""
 
 
 def test_auto_lambda_is_echoed(tmp_path, capsys):
@@ -173,6 +183,23 @@ RADIAL = {"operator": "radial", "n": 1, "m": 1, "lambda": "3/2",
     ("norm", dict(LINEAR, witnesses={"f": {"tag": "power-log", "dim": 1,
                                            "p": [2.0]}}),
      "witnesses.f"),
+    ("norm", dict(BILINEAR, n1=2, D1=[[1], [0]], **{"lambda": "1"}, x=[0.5],
+                  witnesses={"f1": {"tag": "indicator-ball", "dim": 2,
+                                    "center": [0.5]},
+                             "f2": {"tag": "gaussian", "dim": 1}}),
+     "witnesses.f1"),
+    ("norm", dict(LINEAR, n=2, m=2, D=[[1, 0], [0, 1]], x=[0.5, 0.0],
+                  witnesses={"f": {"tag": "indicator-ball", "dim": 2,
+                                   "center": [0.5]}}), "witnesses.f"),
+    ("classify", dict(BILINEAR, D1=5), "D1"),
+    ("classify", dict(BILINEAR, D1=[[1, 0.5]]), "D1"),
+    ("classify", dict(BILINEAR, D2={"a": 1}), "D2"),
+    ("reduce", dict(BASE, D1=[["a"]]), "D1"),
+    ("sweep", dict(BASE, D2=[[0.5]]), "D2"),
+    ("norm", dict(LINEAR, D=[[None]]), "D"),
+    ("norm", dict(LINEAR, n=2, witnesses={"f": {"tag": "gaussian",
+                                                "dim": 2}}), "D"),
+    ("norm", dict(LINEAR, D=[[1, 0]]), "D"),
 ])
 def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
                                               key):
@@ -254,12 +281,14 @@ def test_norm_mode_closed_form(tmp_path, capsys):
 
 
 def test_norm_mode_rejects_non_integrable(tmp_path, capsys):
-    cfg = dict(BASE, p1="1", p2="1", q="1/2", **{"lambda": "2"},
-               witnesses={"f1": {"tag": "indicator-ball", "dim": 1},
-                          "f2": {"tag": "indicator-ball", "dim": 1}},
-               x=[0.0])
-    assert main(["--config", write_config(tmp_path, cfg),
-                 "--mode", "norm"]) == 2
+    bilinear = dict(BASE, p1="1", p2="1", q="1/2", **{"lambda": "2"},
+                    witnesses={"f1": {"tag": "indicator-ball", "dim": 1},
+                               "f2": {"tag": "indicator-ball", "dim": 1}},
+                    x=[0.0])
+    radial = dict(RADIAL, **{"lambda": "1"}, x=[0.0])
+    for cfg in (bilinear, radial):
+        assert main(["--config", write_config(tmp_path, cfg),
+                     "--mode", "norm"]) == 2
 
 
 def test_byte_identical_outputs(tmp_path):

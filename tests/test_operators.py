@@ -78,6 +78,31 @@ def test_non_integrable_order_rejected():
                     ball(), [0.0])
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_radial_order_at_the_origin_is_below_n(n):
+    """At x = 0 the radial kernel is |y|^-lam, locally integrable only
+    for lam < n; away from 0 the order n still evaluates."""
+    f = Gaussian(dim=n)
+    for lam in (n, n + 1):
+        with pytest.raises(NonIntegrableError):
+            eval_radial(n, 1, Fraction(lam), f, [0.0])
+    est = eval_radial(n, 1, Fraction(n), f, [0.5])
+    assert math.isfinite(est.value) and est.value > 0
+
+
+def test_input_dimension_must_match_its_block():
+    cfg = make_config(2, 1, 1, [[1], [0]], [[1]], 2, 2, 2, Fraction(1))
+    D = RationalMatrix.from_rows([[1], [0]])
+    for evaluate in (lambda: eval_bilinear(cfg, ball(1), ball(1), [0.0]),
+                     lambda: eval_bilinear(cfg, ball(2), ball(2), [0.0]),
+                     lambda: eval_linear(2, 1, D, Fraction(1), ball(1),
+                                         [0.0]),
+                     lambda: eval_radial(2, 1, Fraction(1), ball(1),
+                                         [0.5])):
+        with pytest.raises(ValueError, match="^input of dim"):
+            evaluate()
+
+
 # -- adaptive partition -----------------------------------------------
 
 
