@@ -3,8 +3,8 @@ probes, exponent-region sweeps and norm evaluation.
 
 Configs are JSON files with exact rationals written as strings ("3/2",
 "inf"); matrices are nested row-major arrays.  Output is byte
-deterministic for identical configs and seeds: JSON keys are sorted
-and CSV rows are emitted in lexicographic order with LF endings.
+deterministic for identical configs: JSON keys are sorted and CSV rows
+are emitted in lexicographic order with LF endings.
 
 Exit codes: 0 bounded / success, 1 unbounded, 2 invalid input or
 out-of-hypothesis configuration.

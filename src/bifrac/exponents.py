@@ -111,9 +111,12 @@ def homogeneous_lambda(n1: int, n2: int, m: int,
 
 
 def parse_rational(v) -> Fraction:
-    """Parse an exact rational from an int, Fraction or "a/b" string."""
+    """Parse an exact rational from an int, Fraction or "a/b" string;
+    booleans and floats are refused."""
     if isinstance(v, Fraction):
         return v
+    if isinstance(v, bool):
+        raise TypeError(f"refusing to read boolean {v!r} as a rational")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):

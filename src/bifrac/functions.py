@@ -191,6 +191,8 @@ class SplitPowerLog(TestFunction):
             raise ValueError("head + tail must equal dim")
         if self.tail < 1:
             raise ValueError("tail block must be nonempty")
+        if self.head < 0:
+            raise ValueError("head block size must be >= 0")
 
     def values(self, y):
         r = np.linalg.norm(y, axis=-1)

@@ -12,37 +12,33 @@ centred at 0 with offset |x|.  The kernel is locally integrable exactly
 when 0 < lam < sum_b n_b, or 0 < lam when offset > 0; any other order
 raises NonIntegrableError.
 
-Two quadrature schemes share one contract: integrate this singular
-integrand over the box and return a value with an error estimate.  The
-integrand takes one point array per block, each of shape (..., n_b);
-their leading shapes broadcast against each other and the integrand
-returns values of the broadcast shape.  So a factor that depends on one
-block, an input or a block distance, is computed once per distinct
-block coordinate, and only the product of the factors and the kernel
-power run on every point.
+One adaptive-dyadic scheme integrates this singular integrand over the
+box and returns a value with an error estimate.  The integrand takes
+one point array per block, each of shape (..., n_b); their leading
+shapes broadcast against each other and the integrand returns values
+of the broadcast shape.  So a factor that depends on one block, an
+input or a block distance, is computed once per distinct block
+coordinate, and only the product of the factors and the kernel power
+run on every point.
 
-* adaptive-dyadic: one builder, `_dyadic_cells`, makes every
-  partition: uniform dyadic splits to a base depth, then only boxes
-  whose own-width neighborhood holds a target point keep splitting.
-  Targets are of two kinds.  In dimension <= 2 the partition is a
-  tensor product of 1-d partitions whose targets are the singular
-  coordinate and the input descriptors' breaks on that axis (bump
-  edges, power-law origins), so a bump that is narrow in one
-  coordinate but extended in the others is still resolved; the
-  product is never formed, each axis's leaves lie along their own
-  array axis.  In higher dimension one d-dimensional partition has
-  the singular point as its only target, and cells near it split into
-  2^d children.  Both depths come from `QuadratureSpec.depths(d)`: a
-  depth the spec leaves unset takes the default for the integration
-  dimension d, and the base depth is capped at the maximum.  Every
-  leaf gets a centroid value plus one 2^d-subcell refinement pass,
-  whose corners are the product of each block's 2^n_b corners; the
-  reported value is the Richardson combination and the error estimate
-  is the coarse/fine discrepancy.  A centroid that lands exactly on
-  the singular point contributes 0 (measure zero).
-* quasi-random: scrambled Sobol points pushed through a per-axis
-  power map centered at the singular point, which concentrates samples
-  near the singularity and whose Jacobian absorbs the kernel blow-up.
+One builder, `_dyadic_cells`, makes every partition: uniform dyadic
+splits to a base depth, then only boxes whose own-width neighborhood
+holds a target point keep splitting.  Targets are of two kinds.  In
+dimension <= 2 the partition is a tensor product of 1-d partitions
+whose targets are the singular coordinate and the input descriptors'
+breaks on that axis (bump edges, power-law origins), so a bump that
+is narrow in one coordinate but extended in the others is still
+resolved; the product is never formed, each axis's leaves lie along
+their own array axis.  In higher dimension one d-dimensional partition
+has the singular point as its only target, and cells near it split
+into 2^d children.  Both depths come from `QuadratureSpec.depths(d)`:
+a depth the spec leaves unset takes the default for the integration
+dimension d, and the base depth is capped at the maximum.  Every leaf
+gets a centroid value plus one 2^d-subcell refinement pass, whose
+corners are the product of each block's 2^n_b corners; the reported
+value is the Richardson combination and the error estimate is the
+coarse/fine discrepancy.  A centroid that lands exactly on the
+singular point contributes 0 (measure zero).
 
 All evaluations are pure functions of (descriptors, spec); grid-point
 results keep the order of the points, so concurrent execution is
@@ -70,20 +66,13 @@ class NonIntegrableError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    scheme: str = "adaptive"          # "adaptive" | "qmc"
     max_depth: Optional[int] = None   # None: default by dimension
-    samples: int = 1 << 14
     truncation_radius: float = 8.0
-    seed: int = 0
     base_depth: Optional[int] = None  # uniform pre-split; None: by dim
 
     def __post_init__(self):
-        if self.scheme not in ("adaptive", "qmc"):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if self.max_depth is not None:
             _check_int("max_depth", self.max_depth, 1)
-        _check_int("samples", self.samples, 1)
-        _check_int("seed", self.seed, 0)
         if self.base_depth is not None:
             _check_int("base_depth", self.base_depth, 0)
         _check_real("truncation_radius", self.truncation_radius, True)
@@ -275,44 +264,6 @@ def _partition(singular: np.ndarray, breaks: List[List[float]],
     return [axes[(s, *b)] for s, b in zip(singular, breaks)]
 
 
-_WARP_POWER = 3.0  # exponent of the per-axis power map
-
-
-def _qmc_integral(func: Callable[..., np.ndarray],
-                  singular: np.ndarray,
-                  blocks: Sequence[int],
-                  half_width: float,
-                  samples: int,
-                  seed: int) -> Tuple[float, float]:
-    """Quasi-random integral over [-R, R]^d with an importance warp.
-
-    Each axis maps t in [0, 1) to the box through a signed power map
-    centered at the singular point; the Jacobian weight tames the
-    kernel singularity.  Deterministic for a fixed seed.
-    """
-    from scipy.stats import qmc
-
-    d = singular.size
-    s = np.clip(singular, -half_width, half_width)
-    m_bits = max(4, int(math.ceil(math.log2(samples))))
-    sampler = qmc.Sobol(d=d, scramble=True, seed=seed)
-    t = sampler.random_base2(m_bits)[:samples]
-
-    u = 2.0 * t - 1.0                      # (-1, 1)
-    au = np.abs(u)
-    side = np.where(u >= 0,
-                    (half_width - s)[None, :],
-                    (s + half_width)[None, :])
-    y = s[None, :] + np.sign(u) * au ** _WARP_POWER * side
-    jac = np.prod(2.0 * _WARP_POWER * au ** (_WARP_POWER - 1.0) * side,
-                  axis=1)
-
-    vals = func(*np.split(y, np.cumsum(blocks)[:-1], axis=1)) * jac
-    value = float(vals.mean())
-    half = float(vals[: samples // 2].mean()) if samples >= 2 else value
-    return value, abs(value - half)
-
-
 def _evaluate(inputs: Sequence[TestFunction], centres: Sequence[np.ndarray],
               lam, quad: QuadratureSpec, offset: float = 0.0) -> NormEstimate:
     """Integral of prod_b f_b(y_b) (offset + sum_b |c_b - y_b|)^-lam over
@@ -342,15 +293,10 @@ def _evaluate(inputs: Sequence[TestFunction], centres: Sequence[np.ndarray],
         base *= math.prod(f.values(y) for f, y in zip(inputs, ys))
         return base
 
-    singular = np.concatenate(centres)
-    if quad.scheme == "qmc":
-        value, err = _qmc_integral(integrand, singular, blocks,
-                                   quad.truncation_radius, quad.samples,
-                                   quad.seed)
-    else:
-        breaks = [axis for f in inputs for axis in f.breaks()]
-        value, err = _leaf_sum(integrand, _partition(singular, breaks, quad),
-                               blocks)
+    breaks = [axis for f in inputs for axis in f.breaks()]
+    value, err = _leaf_sum(integrand,
+                           _partition(np.concatenate(centres), breaks, quad),
+                           blocks)
     return NormEstimate(value, err, "quadrature")
 
 

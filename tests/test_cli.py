@@ -200,6 +200,16 @@ RADIAL = {"operator": "radial", "n": 1, "m": 1, "lambda": "3/2",
     ("norm", dict(LINEAR, n=2, witnesses={"f": {"tag": "gaussian",
                                                 "dim": 2}}), "D"),
     ("norm", dict(LINEAR, D=[[1, 0]]), "D"),
+    ("norm", dict(BILINEAR, n1=2, D1=[[1], [0]], **{"lambda": "3/2"},
+                  x=[0.5],
+                  witnesses={"f1": {"tag": "split-power-log", "dim": 2,
+                                    "head": -1, "tail": 3},
+                             "f2": {"tag": "gaussian", "dim": 1}}),
+     "witnesses.f1"),
+    ("classify", dict(BILINEAR, **{"lambda": True}), "lambda"),
+    ("classify", dict(BILINEAR, p1=True), "p1"),
+    ("classify", dict(BILINEAR, D1=[[True]]), "D1"),
+    ("sweep", dict(BASE, D2=[[False]]), "D2"),
 ])
 def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
                                               key):
@@ -292,12 +302,12 @@ def test_norm_mode_rejects_non_integrable(tmp_path, capsys):
 
 
 def test_byte_identical_outputs(tmp_path):
-    """Identical configs and seeds produce identical bytes, via both
+    """Identical configs produce identical bytes, via both
     the --out file and a subprocess run."""
     cfg = dict(BASE, p1="2", p2="2", q="2", **{"lambda": "1/2"},
                witnesses={"f1": {"tag": "gaussian", "dim": 1},
                           "f2": {"tag": "gaussian", "dim": 1}},
-               x=[0.5], quad={"scheme": "qmc", "seed": 11})
+               x=[0.5])
     path = write_config(tmp_path, cfg)
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -349,6 +359,8 @@ def test_probe_out_csv_writes_the_dilation_table(tmp_path, capsys):
      "max_dept"),
     ("probe", dict(BILINEAR, **{"lambda": "3/2"}, grid={"points": 9}),
      "grid", "points"),
+    ("norm", dict(LINEAR, quad={"scheme": "qmc"}), "quad", "scheme"),
+    ("norm", dict(LINEAR, quad={"samples": 64}), "quad", "samples"),
 ])
 def test_unknown_setting_is_refused_by_name(tmp_path, capsys, mode, cfg,
                                             section, name):

@@ -367,11 +367,6 @@ def test_factored_leaf_sum_matches_pointwise(monkeypatch, case,
     assert (est.value, est.abs_error) == pointwise()
 
 
-def test_quadrature_spec_rejects_unknown_scheme():
-    with pytest.raises(ValueError, match="scheme"):
-        QuadratureSpec(scheme="simpson")
-
-
 # -- structural identities --------------------------------------------
 
 
@@ -433,18 +428,58 @@ def test_continuum_dilation_identity():
         assert abs(lhs.value - scale * rhs.value) <= combined
 
 
-def test_scheme_agreement_2d_and_4d():
+def _polar_reference_1plus1(t, lam):
+    """I(g, g)(t) in 1+1 dims for the unit Gaussian g, D1 = D2 = 1, by
+    the L1-polar substitution |u1| = r w, |u2| = r (1 - w), r = s^k
+    with k = 1 / (2 - lam), one quadrant of signs at a time."""
+    from scipy import integrate
+    k = 1.0 / (2.0 - lam)
+    total = 0.0
+    for s1, s2 in itertools.product((1.0, -1.0), repeat=2):
+        def f(s, w):
+            r = s ** k
+            return k * s ** (k * (2.0 - lam) - 1.0) * math.exp(
+                -(t + s1 * r * w) ** 2 - (t + s2 * r * (1.0 - w)) ** 2)
+        total += integrate.dblquad(f, 0.0, 1.0, 0.0, 6.0,
+                                   epsabs=1e-12, epsrel=1e-10)[0]
+    return total
+
+
+def _polar_reference_2plus2(rho1, rho2, lam):
+    """I(g, g) in 2+2 dims for the unit Gaussian g, with the blocks
+    centred at radii rho1 and rho2: polar coordinates in each block,
+    the angles integrated in closed form (Bessel I0), then |u1| = s w,
+    |u2| = s (1 - w)."""
+    from scipy import integrate, special
+
+    def f(s, w):
+        return (w * (1.0 - w) * s ** (3.0 - lam)
+                * math.exp(-(s * w - rho1) ** 2 - (s * (1.0 - w) - rho2) ** 2)
+                * special.i0e(2.0 * s * w * rho1)
+                * special.i0e(2.0 * s * (1.0 - w) * rho2))
+    v = integrate.dblquad(f, 0.0, 1.0, 0.0, rho1 + rho2 + 10.0,
+                          epsabs=1e-12, epsrel=1e-10)[0]
+    return (2.0 * math.pi) ** 2 * v
+
+
+def test_adaptive_agrees_with_references_2d_and_4d():
+    """The error bar covers the distance to an independent scipy
+    reference, and that distance is under 2%, in 1+1 and 2+2 dims."""
     g1 = Gaussian(dim=1)
     a2 = eval_bilinear(REF, g1, g1, [0.5])
-    q2 = eval_bilinear(REF, g1, g1, [0.5], QuadratureSpec(scheme="qmc"))
-    assert abs(a2.value - q2.value) / a2.value < 0.02
+    ref2 = _polar_reference_1plus1(0.5, 1.5)
+    assert ref2 == pytest.approx(5.621035, abs=1e-6)
 
     cfg4 = make_config(2, 2, 1, [[1], [0]], [[0], [1]], 2, 2, 2,
                        Fraction(5, 2))
     g2 = Gaussian(dim=2)
     a4 = eval_bilinear(cfg4, g2, g2, [0.5])
-    q4 = eval_bilinear(cfg4, g2, g2, [0.5], QuadratureSpec(scheme="qmc"))
-    assert abs(a4.value - q4.value) / a4.value < 0.02
+    ref4 = _polar_reference_2plus2(0.5, 0.5, 2.5)
+    assert ref4 == pytest.approx(4.446507, abs=1e-6)
+
+    for a, ref in ((a2, ref2), (a4, ref4)):
+        assert abs(a.value - ref) <= a.abs_error
+        assert abs(a.value - ref) / ref < 0.02
 
 
 # -- grid norms -------------------------------------------------------
