@@ -22,7 +22,8 @@ from typing import Optional
 
 from .classifier import (HypothesisError, check_shapes, classify_bilinear,
                          decide, make_config)
-from .exponents import Exponent, homogeneous_lambda, parse_rational
+from .exponents import (ConjugateUndefinedError, Exponent,
+                        homogeneous_lambda, parse_rational)
 from .functions import (DivergentNormError, NoWitnessError, _check_int,
                         _check_real, descriptor_from_dict, witness_for)
 from .matrices import (RankDeficientStackError, RationalMatrix,
@@ -88,7 +89,11 @@ def _exact(cfg: dict, key: str, parse=parse_rational):
 
 def _resolve_lambda(cfg: dict, n1, n2, m, p1, p2, q):
     if cfg.get("lambda", "auto") == "auto":
-        return homogeneous_lambda(n1, n2, m, p1, p2, q), True
+        try:
+            return homogeneous_lambda(n1, n2, m, p1, p2, q), True
+        except ConjugateUndefinedError as exc:
+            raise ConfigError(f'lambda: "auto" needs p1, p2 >= 1: {exc}') \
+                from None
     return _exact(cfg, "lambda"), False
 
 
@@ -159,6 +164,13 @@ def cmd_classify(cfg: dict, args) -> int:
 def cmd_reduce(cfg: dict, args) -> int:
     _require(cfg, "D1", "D2")
     D1, D2 = (_exact(cfg, k, RationalMatrix.from_rows) for k in ("D1", "D2"))
+    for key, D in (("D1", D1), ("D2", D2)):
+        if D.rows == 0 or D.cols == 0:
+            raise ConfigError(f"{key}: expected a matrix with at least one "
+                              f"row and one column, got {cfg[key]!r}")
+    if D1.cols != D2.cols:
+        raise ConfigError(f"D1 and D2 must have the same number of columns, "
+                          f"got {D1.cols} and {D2.cols}")
     _, _, m, r1, r2, stacked = signature(D1, D2)
     record = {"r1": r1, "r2": r2, "stacked_rank": stacked, "m": m}
     s1 = single_normal_form(D1)

@@ -4,9 +4,10 @@ Lp norms.
 Descriptors are immutable and evaluation is lazy, so quadrature can
 refine arbitrarily close to singular points without re-ingesting data.
 Each descriptor class carries its own pointwise values (on a (..., dim)
-array of points), its Lp norm and its quadrature breakpoints, and the
-type annotations of its fields drive the checks of its serialized
-parameters, so a new witness is one class plus one `_TAGS` entry.
+array of points), its Lp norm and its quadrature breakpoints (the two
+power-logs share one profile's), and the type annotations of its fields
+drive the checks of its serialized parameters, so a new witness is one
+class plus one `_TAGS` entry.
 scipy is imported only by the norms that need a radial quadrature.
 """
 
@@ -139,52 +140,102 @@ class MollifiedDelta(TestFunction):
         return [[-self.width, 0.0, self.width]] * self.dim
 
 
-@dataclass(frozen=True)
-class PowerLog(TestFunction):
-    """|y|^(-n/p) (log 1/|y|)^(-(1+eps)/p) on {|y| <= cutoff}.
+class _PowerLogProfile(TestFunction):
+    """The power-log profile, the borderline extremal of L^p:
 
-    The borderline extremal of L^p: the norm at exponent p is finite
-    exactly when eps > 0.  Value at the origin is 0 (measure zero).
+        |y_t|^(-t/p) (log 1/|y_t|)^(-(1+eps)/p) on {|y| <= cutoff},
+
+    where y_t holds the trailing t = dim - head coordinates.  Its L^p
+    norm at its own p is finite exactly when eps > 0.  The value is 0
+    where y_t = 0 (measure zero).  Subclasses supply p, eps, head and
+    cutoff, as fields or as class constants.
     """
 
-    p: float = 2.0
-    eps: float = 0.1
-    cutoff: float = 0.5
-
     def __post_init__(self):
-        if self.p <= 0 or not (0 < self.cutoff < 1):
-            raise ValueError("need p > 0 and cutoff in (0, 1)")
+        if not self.p > 0:
+            raise ValueError(f"need p > 0, got {self.p!r}")
 
     def values(self, y):
         r = np.linalg.norm(y, axis=-1)
+        rt = np.linalg.norm(y[..., self.head:], axis=-1) if self.head else r
         out = np.zeros_like(r)
-        inside = (r > 0) & (r <= self.cutoff)
-        ri = r[inside]
-        out[inside] = (ri ** (-self.dim / self.p)
+        inside = (r <= self.cutoff) & (rt > 0)
+        ri = rt[inside]
+        out[inside] = (ri ** (-(self.dim - self.head) / self.p)
                        * np.log(1.0 / ri) ** (-(1.0 + self.eps) / self.p))
         return out
 
+    def _density(self, p: float):
+        """(omega, alpha, beta, density) of ||f||_p^p in u = log(1/|y_t|):
+        the norm is the integral from log(1/cutoff) of
+        density(u) = omega e^(-alpha u) u^(-beta), omega the area of
+        S^(t-1), times, when there is a head block, the volume of its
+        section of the support at |y_t| = e^(-u)."""
+        t, k = self.dim - self.head, self.head
+        omega = t * unit_ball_volume(t)
+        alpha = t - t * p / self.p
+        beta = p * (1.0 + self.eps) / self.p
+        vol_head, c2 = unit_ball_volume(k), self.cutoff * self.cutoff
+
+        def density(u):
+            dens = omega * math.exp(-alpha * u) * u ** (-beta)
+            if k:
+                r = math.exp(-u)
+                s2 = c2 - r * r
+                dens *= vol_head * s2 ** (k / 2.0) if s2 > 0 else 0.0
+            return dens
+
+        return omega, alpha, beta, density
+
     def norm(self, p):
-        return _powerlog_radial_norm(self.dim, self.p, self.eps,
-                                     self.cutoff, p)
+        # near y_t = 0 the density decays iff alpha > 0, or alpha == 0
+        # with beta > 1; p = inf diverges too
+        omega, alpha, beta, density = self._density(p)
+        if not (alpha > 0 or (alpha == 0 and beta > 1)):
+            raise DivergentNormError(
+                f"L^{p} norm of power-log descriptor diverges")
+        u0 = math.log(1.0 / self.cutoff)
+        if self.head == 0 and alpha == 0:
+            # closed form: omega * int_u0^inf u^-beta du
+            val = omega * u0 ** (1.0 - beta) / (beta - 1.0)
+            err = abs(val) * 1e-12
+        else:
+            from scipy.integrate import quad
+            val, err = quad(density, u0, math.inf,
+                            epsabs=0.0, epsrel=1e-10, limit=200)
+        return NormEstimate(val ** (1.0 / p),
+                            err * val ** (1.0 / p - 1.0) / p if val > 0
+                            else err, "quadrature")
 
     def breaks(self):
         return [[-self.cutoff, 0.0, self.cutoff]] * self.dim
 
 
 @dataclass(frozen=True)
-class SplitPowerLog(TestFunction):
-    """Power-log weight in the trailing coordinate block only.
+class PowerLog(_PowerLogProfile):
+    """The power-log profile in all coordinates, on {|y| <= cutoff}."""
 
-    On {|y| <= 1/2} in R^(head+tail) the value is
-    |y_t|^(-tail/p) (log 1/|y_t|)^(-(1+eps)/p) with y_t the trailing
-    block; finite L^p norm at its own p exactly when eps > 0.
-    """
+    p: float = 2.0
+    eps: float = 0.1
+    cutoff: float = 0.5
+    head = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 < self.cutoff < 1:
+            raise ValueError(f"need cutoff in (0, 1), got {self.cutoff!r}")
+
+
+@dataclass(frozen=True)
+class SplitPowerLog(_PowerLogProfile):
+    """The power-log profile in the trailing `tail` coordinates of
+    R^(head+tail), on {|y| <= 1/2}."""
 
     head: int = 1
     tail: int = 1
     p: float = 2.0
     eps: float = 0.1
+    cutoff = 0.5
 
     def __post_init__(self):
         if self.head + self.tail != self.dim:
@@ -193,32 +244,7 @@ class SplitPowerLog(TestFunction):
             raise ValueError("tail block must be nonempty")
         if self.head < 0:
             raise ValueError("head block size must be >= 0")
-
-    def values(self, y):
-        r = np.linalg.norm(y, axis=-1)
-        rt = np.linalg.norm(y[..., self.head:], axis=-1)
-        out = np.zeros_like(r)
-        inside = (r <= 0.5) & (rt > 0)
-        ri = rt[inside]
-        out[inside] = (ri ** (-self.tail / self.p)
-                       * np.log(1.0 / ri) ** (-(1.0 + self.eps) / self.p))
-        return out
-
-    def norm(self, p):
-        if self.head == 0:
-            section = None
-        else:
-            vol_head = unit_ball_volume(self.head)
-
-            def section(rho, _v=vol_head, _k=self.head):
-                s2 = 0.25 - rho * rho
-                return _v * s2 ** (_k / 2.0) if s2 > 0 else 0.0
-
-        return _powerlog_radial_norm(self.tail, self.p, self.eps, 0.5, p,
-                                     tail_cross_section=section)
-
-    def breaks(self):
-        return [[-0.5, 0.0, 0.5]] * self.dim
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -341,46 +367,6 @@ def evaluate(f: TestFunction, y) -> float:
 # Lp norms
 
 
-def _powerlog_radial_norm(dim: int, p_own: float, eps: float, cutoff: float,
-                          p: float, tail_cross_section=None) -> NormEstimate:
-    """L^p norm of a power-log profile via the u = log(1/r)
-    substitution; raises DivergentNormError when infinite, which
-    includes p = inf.
-
-    tail_cross_section(rho), when given, multiplies the radial density
-    (used by the split variant where the head block contributes the
-    volume of its section)."""
-    alpha = dim - dim * p / p_own          # r-exponent beyond r^(dim-1)... see below
-    beta = p * (1.0 + eps) / p_own         # log-power
-    # integrand: omega_d * r^(dim-1) * r^(-dim p/p_own) * (log 1/r)^(-beta)
-    # near r = 0 the power of r is dim - 1 - dim p/p_own; integrable iff
-    # alpha > 0, or alpha == 0 with beta > 1.
-    if not (alpha > 0 or (alpha == 0 and beta > 1)):
-        raise DivergentNormError(
-            f"L^{p} norm of power-log descriptor diverges")
-    omega = dim * unit_ball_volume(dim)    # surface area of unit sphere
-    u0 = math.log(1.0 / cutoff)
-    if tail_cross_section is None and alpha == 0:
-        # closed form: omega * int_u0^inf u^-beta du
-        val = omega * u0 ** (1.0 - beta) / (beta - 1.0)
-        err = abs(val) * 1e-12
-    else:
-        from scipy.integrate import quad
-
-        def integrand(u):
-            r = math.exp(-u)
-            dens = omega * math.exp(-alpha * u) * u ** (-beta)
-            if tail_cross_section is not None:
-                dens *= tail_cross_section(r)
-            return dens
-
-        val, err = quad(integrand, u0, math.inf,
-                        epsabs=0.0, epsrel=1e-10, limit=200)
-    return NormEstimate(val ** (1.0 / p),
-                        err * val ** (1.0 / p - 1.0) / p if val > 0 else err,
-                        "quadrature")
-
-
 def lp_norm(f: TestFunction, p) -> NormEstimate:
     """Lp (quasi-)norm of a descriptor; analytic where a closed form
     exists, radial quadrature otherwise.
@@ -394,22 +380,15 @@ def lp_norm(f: TestFunction, p) -> NormEstimate:
     return f.norm(pv)
 
 
-def truncated_powerlog_norm(f: PowerLog, p, inner_radius: float) -> float:
-    """||f||_p^p over {inner_radius <= |y| <= cutoff}, for divergence
-    probes: with eps <= 0 at p = f.p this grows without bound as
-    inner_radius -> 0."""
+def truncated_powerlog_norm(f: _PowerLogProfile, p,
+                            inner_radius: float) -> float:
+    """||f||_p^p over {|y_t| >= inner_radius} within the support, for
+    divergence probes: with eps <= 0 at p = f.p this grows without bound
+    as inner_radius -> 0."""
     from scipy.integrate import quad
-    pv = float(p)
-    omega = f.dim * unit_ball_volume(f.dim)
-    alpha = f.dim - f.dim * pv / f.p
-    beta = pv * (1.0 + f.eps) / f.p
-
-    def integrand(u):
-        return omega * math.exp(-alpha * u) * u ** (-beta)
-
-    u0 = math.log(1.0 / f.cutoff)
-    u1 = math.log(1.0 / inner_radius)
-    val, _ = quad(integrand, u0, u1, limit=200)
+    density = f._density(float(p))[3]
+    val, _ = quad(density, math.log(1.0 / f.cutoff),
+                  math.log(1.0 / inner_radius), limit=200)
     return val
 
 

@@ -396,8 +396,9 @@ def dilation_slope(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
                    workers: Optional[int] = None) -> ProbeReport:
     """Least-squares slope of log(norm ratio) against log(a) for the
     dilated pair (f1(./a), f2(./a)), with the exact prediction."""
-    if len(a_list) < 2:
-        raise ValueError("need at least two dilation factors")
+    if len(a_list) < 2 or len(set(a_list)) < len(a_list):
+        raise ValueError(f"a_list: need at least two distinct dilation "
+                         f"factors, got {list(a_list)!r}")
     if cfg.q.is_infinite:
         raise ValueError("slope probe requires q < inf")
     pairs = [norm_ratio(cfg, dilate(f1, a), dilate(f2, a),

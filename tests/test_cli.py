@@ -210,6 +210,27 @@ RADIAL = {"operator": "radial", "n": 1, "m": 1, "lambda": "3/2",
     ("classify", dict(BILINEAR, p1=True), "p1"),
     ("classify", dict(BILINEAR, D1=[[True]]), "D1"),
     ("sweep", dict(BASE, D2=[[False]]), "D2"),
+    ("reduce", {"D1": [[]], "D2": [[]]}, "D1"),
+    ("reduce", {"D1": [], "D2": []}, "D1"),
+    ("reduce", {"D1": [[1, 0]], "D2": [[1]]}, "D1"),
+    ("probe", dict(BILINEAR, **{"lambda": "3/2"}, a_list=[1, 1],
+                   grid={"points_per_axis": 5},
+                   witnesses={"f1": {"tag": "gaussian", "dim": 1},
+                              "f2": {"tag": "gaussian", "dim": 1}}),
+     "a_list"),
+    ("classify", dict(BILINEAR, p1="1/2"), "lambda"),
+    ("norm", dict(BILINEAR, n1=2, D1=[[1], [0]], **{"lambda": "3/2"},
+                  x=[0.25],
+                  witnesses={"f1": {"tag": "split-power-log", "dim": 2,
+                                    "head": 1, "tail": 1, "p": -2.0},
+                             "f2": {"tag": "gaussian", "dim": 1}}),
+     "witnesses.f1"),
+    ("norm", dict(BILINEAR, n1=2, D1=[[1], [0]], **{"lambda": "3/2"},
+                  x=[0.25],
+                  witnesses={"f1": {"tag": "split-power-log", "dim": 2,
+                                    "head": 1, "tail": 1, "p": 0.0},
+                             "f2": {"tag": "gaussian", "dim": 1}}),
+     "witnesses.f1"),
 ])
 def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
                                               key):
@@ -217,6 +238,47 @@ def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.split()[1].rstrip(":") == key
+
+
+GAUSSIANS = {"f1": {"tag": "gaussian", "dim": 1},
+             "f2": {"tag": "gaussian", "dim": 1}}
+
+
+@pytest.mark.parametrize("mode, cfg, message", [
+    ("classify", dict(BASE, p1="2", p2="2"),
+     "config is missing required keys: ['q']"),
+    ("norm", dict(LINEAR, x=0.5), "x: expected a list of numbers, got 0.5"),
+    ("norm", dict(BILINEAR, **{"lambda": "3/2"}, x=[0.5]),
+     "config is missing witness descriptor 'f1'"),
+    ("norm", dict(LINEAR, operator="trilinear"),
+     "unknown operator 'trilinear'"),
+    ("classify", dict(BILINEAR, D1=[[1], [1, 0]]), "D1: ragged rows"),
+])
+def test_config_errors_name_their_cause(tmp_path, capsys, mode, cfg,
+                                        message):
+    code = main(["--config", write_config(tmp_path, cfg), "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_bilinear_norm_without_x_is_the_grid_norm(tmp_path, capsys):
+    """A bilinear `norm` config without `x` prints the discrete L^q norm
+    over its grid, the record of `lq_norm_on_grid`."""
+    from fractions import Fraction
+    from bifrac.classifier import make_config
+    from bifrac.functions import Gaussian
+    from bifrac.operators import GridSpec, QuadratureSpec, lq_norm_on_grid
+    cfg = dict(BILINEAR, **{"lambda": "3/2"}, witnesses=GAUSSIANS,
+               grid={"points_per_axis": 5})
+    code, out = run_cli(["--config", write_config(tmp_path, cfg),
+                         "--mode", "norm"], capsys)
+    oc = make_config(1, 1, 1, [[1]], [[1]], 2, 2, 2, Fraction(3, 2))
+    est = lq_norm_on_grid(oc, Gaussian(dim=1), Gaussian(dim=1),
+                          GridSpec(points_per_axis=5), QuadratureSpec())
+    assert code == 0
+    assert out == json.dumps(est.to_record(), sort_keys=True,
+                             indent=2) + "\n"
 
 
 def test_exact_modes_do_not_import_scipy(tmp_path):

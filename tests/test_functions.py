@@ -167,6 +167,33 @@ def test_split_powerlog_norm_finite_iff_damped():
         lp_norm(SplitPowerLog(dim=2, head=1, tail=1, p=2.0, eps=0.0), 2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_split_powerlog_without_head_is_powerlog(n):
+    """With no head block the split profile is the plain power-log,
+    bit for bit in values and norms."""
+    split = SplitPowerLog(dim=n, head=0, tail=n)
+    plain = PowerLog(dim=n)
+    y = np.random.default_rng(n).uniform(-0.6, 0.6, (4, 25, n))
+    y[0, 0] = 0.0
+    assert np.array_equal(split.values(y), plain.values(y))
+
+    def norm_or_divergence(f, p):
+        try:
+            return lp_norm(f, p)
+        except DivergentNormError as exc:
+            return str(exc)
+
+    for p in (1.0, 2.0, 3.0):
+        assert norm_or_divergence(split, p) == norm_or_divergence(plain, p)
+
+
+def test_translated_norm_is_the_inner_norm():
+    for f in (Gaussian(dim=2, scale=0.5), PowerLog(dim=2, p=4.0)):
+        shifted = translate(f, [0.25, -0.5], mask=[True, False])
+        assert shifted is not f
+        assert lp_norm(shifted, 2) == lp_norm(f, 2)
+
+
 # -- witness families -------------------------------------------------
 
 

@@ -548,6 +548,18 @@ def test_dilation_slope_rejects_short_lists_and_infinite_q():
         dilation_slope(qinf, g, g, [0.5, 1.0, 2.0])
 
 
+def test_two_factor_dilation_slope_is_the_secant():
+    """With two factors the fitted slope is the secant
+    log(r2/r1) / log(a2/a1), and it has no standard error."""
+    g = Gaussian(dim=1)
+    report = dilation_slope(REF, g, g, [0.5, 2.0],
+                            grid=GridSpec(points_per_axis=5))
+    r1, r2 = report.ratios
+    assert report.slope == pytest.approx(math.log(r2 / r1) / math.log(4.0),
+                                         rel=1e-12)
+    assert report.slope_stderr == 0.0
+
+
 def test_translation_defect_zero_shift():
     g = Gaussian(dim=1)
     grid = GridSpec(points_per_axis=9)
