@@ -1,11 +1,15 @@
-"""Exact boundedness classifiers for fractional integral operators.
+"""The decision procedure: exact boundedness characterizations of the
+bilinear fractional integral operator (`classify_bilinear`, `decide`)
+and of its linear and radial relatives.
 
 All decisions are made on exact rationals: exponents are compared via
 their reciprocals (q >= p iff 1/q <= 1/p, which covers p = inf
 uniformly) and the order parameter is an exact Fraction.  Hypothesis
 violations (order outside its admissible range, dimension mismatch)
-raise HypothesisError rather than returning "Unbounded": the
-characterization says nothing outside its hypotheses.
+raise HypothesisError, a BifracError, rather than returning
+"Unbounded": the characterization says nothing outside its hypotheses.
+The cross-check oracles live with the tests, apart from the engine
+they check.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exponents import Exponent, conjugate, homogeneous_lambda, parse_rational
+from .exponents import (BifracError, Exponent, conjugate, homogeneous_lambda,
+                        parse_rational)
 from .matrices import RationalMatrix, rank, signature
 
 
@@ -29,7 +34,7 @@ class Clause(str, enum.Enum):
     CASE_4B = "Case4b"
     CASE_4C = "Case4c"
     CASE_4D = "Case4d"
-    # extra tags used by the linear/radial/pairing classifiers
+    # extra tags used by the linear and radial classifiers
     RANK_DEFICIENT = "RankDeficient"
     ACCEPTED = "Accepted"
 
@@ -38,7 +43,7 @@ STRICT_FAILED = "strict-inequality-failed"
 EQUALITY_NOT_ACCESSIBLE = "equality-not-accessible"
 
 
-class HypothesisError(ValueError):
+class HypothesisError(BifracError):
     """The input lies outside the hypotheses of the characterization."""
 
     def __init__(self, clause: Clause, detail: str):
@@ -89,7 +94,7 @@ class OperatorConfig:
 
     def __post_init__(self) -> None:
         if min(self.n1, self.n2, self.m) < 1:
-            raise ValueError("dimensions must be positive")
+            raise BifracError("dimensions must be positive")
         check_shapes(self.n1, self.n2, self.m, self.D1, self.D2)
 
     def swapped(self) -> "OperatorConfig":
@@ -99,15 +104,15 @@ class OperatorConfig:
 
 def check_shapes(n1: int, n2: int, m: int,
                  D1: RationalMatrix, D2: RationalMatrix) -> None:
-    """Raise ValueError unless D1 is n1 x m and D2 is n2 x m."""
+    """Raise BifracError unless D1 is n1 x m and D2 is n2 x m."""
     check_shape("D1", D1, n1, m)
     check_shape("D2", D2, n2, m)
 
 
 def check_shape(name: str, D: RationalMatrix, n: int, m: int) -> None:
-    """Raise ValueError, naming the matrix, unless D is n x m."""
+    """Raise BifracError, naming the matrix, unless D is n x m."""
     if (D.rows, D.cols) != (n, m):
-        raise ValueError(f"{name} must be {n}x{m}, got {D.rows}x{D.cols}")
+        raise BifracError(f"{name} must be {n}x{m}, got {D.rows}x{D.cols}")
 
 
 def make_config(n1, n2, m, D1, D2, p1, p2, q, lam) -> OperatorConfig:
@@ -339,56 +344,3 @@ def classify_radial(n: int, m: int, p: Exponent, q: Exponent,
                      f"order {lam} != homogeneity value {lam_star}", lam=lam)
     return Verdict(True, Clause.ACCEPTED,
                    "homogeneity and 1 < p <= q < inf hold", lam=lam)
-
-
-def classify_pairing(n1: int, n2: int, p1: Exponent, p2: Exponent) -> Verdict:
-    """Bilinear pairing against (|y1| + |y2|)^-(n1/p1' + n2/p2'):
-    bounded iff 1 < p1, p2 < inf and 1/p1 + 1/p2 >= 1."""
-    a1, a2 = p1.recip, p2.recip
-    if not (0 < a1 < 1 and 0 < a2 < 1):
-        return _fail(Clause.EXPONENT_RANGE_FAILED,
-                     "both exponents must lie in (1, inf)")
-    if a1 + a2 < 1:
-        return _fail(Clause.EXPONENT_RANGE_FAILED,
-                     "1/p1 + 1/p2 >= 1 is required",
-                     subreason=STRICT_FAILED)
-    return Verdict(True, Clause.ACCEPTED,
-                   "1 < p1, p2 < inf and 1/p1 + 1/p2 >= 1 hold")
-
-
-def classify_symmetric(n: int, p1: Exponent, p2: Exponent, q: Exponent,
-                       lam: Fraction) -> Verdict:
-    """Independent cross-check oracle for the symmetric full-rank case
-    n1 = n2 = m = n with identity coefficient matrices.
-
-    Preconditions: 1 <= p1, p2 <= inf, 0 < lam < 2n and the scaling
-    relation 1/p1 + 1/p2 = 1/q + (2n - lam)/n; violations raise.
-    """
-    a1, a2, b = p1.recip, p2.recip, q.recip
-    if a1 > 1 or a2 > 1:
-        raise HypothesisError(Clause.EXPONENT_RANGE_FAILED,
-                              "requires 1 <= p1, p2 <= inf")
-    if not (0 < lam < 2 * n):
-        raise HypothesisError(Clause.LAMBDA_OUT_OF_RANGE,
-                              f"order {lam} outside (0, {2 * n})")
-    if a1 + a2 != b + Fraction(2 * n, n) - Fraction(lam, n):
-        raise HypothesisError(Clause.HOMOGENEITY_FAILED,
-                              "scaling relation fails")
-    if not (0 < a1 < 1 or 0 < a2 < 1):
-        return _fail(Clause.EXPONENT_RANGE_FAILED,
-                     "no index lies in (1, inf)", lam=lam)
-    if a1 == 1 or a2 == 1:  # min{p1, p2} = 1
-        ok = 0 < b <= min(a1, a2)  # max{p1, p2} <= q < inf
-        row = "max{p1,p2} <= q < inf"
-    elif a1 == 0 or a2 == 0:  # max{p1, p2} = inf
-        ok = 0 < b < max(a1, a2)  # min{p1, p2} < q < inf
-        row = "min{p1,p2} < q < inf"
-    elif a1 + a2 < 1:
-        ok = 0 < b < a1 + a2
-        row = "0 < 1/q < 1/p1 + 1/p2"
-    else:
-        ok = 0 <= b < a1 + a2
-        row = "0 <= 1/q < 1/p1 + 1/p2"
-    if ok:
-        return Verdict(True, Clause.ACCEPTED, f"row '{row}' holds", lam=lam)
-    return _fail(Clause.EXPONENT_RANGE_FAILED, f"row '{row}' fails", lam=lam)

@@ -7,7 +7,9 @@ deterministic for identical configs: JSON keys are sorted and CSV rows
 are emitted in lexicographic order with LF endings.
 
 Exit codes: 0 bounded / success, 1 unbounded, 2 invalid input or
-out-of-hypothesis configuration.
+out-of-hypothesis configuration.  Every refusal is a BifracError and
+prints one "error: <key>: ..." line; any other exception is a bug and
+propagates as a traceback.
 """
 
 from __future__ import annotations
@@ -22,23 +24,22 @@ from typing import Optional
 
 from .classifier import (HypothesisError, check_shapes, classify_bilinear,
                          decide, make_config)
-from .exponents import (ConjugateUndefinedError, Exponent,
+from .exponents import (BifracError, ConjugateUndefinedError, Exponent,
                         homogeneous_lambda, parse_rational)
-from .functions import (DivergentNormError, NoWitnessError, _check_int,
-                        _check_real, descriptor_from_dict, witness_for)
-from .matrices import (RankDeficientStackError, RationalMatrix,
-                       joint_normal_form, signature, single_normal_form)
-from .operators import (GridSpec, NonIntegrableError, QuadratureSpec,
-                        blowup_probe, dilation_slope,
-                        eval_bilinear, eval_linear, eval_radial,
-                        lq_norm_on_grid)
+from .functions import (_check_int, _check_real, descriptor_from_dict,
+                        lp_norm, witness_for)
+from .matrices import (RationalMatrix, joint_normal_form, signature,
+                       single_normal_form)
+from .operators import (GridSpec, QuadratureSpec, blowup_probe,
+                        dilation_slope, eval_bilinear, eval_linear,
+                        eval_radial, lq_norm_on_grid)
 
 EXIT_BOUNDED = 0
 EXIT_UNBOUNDED = 1
 EXIT_INVALID = 2
 
 
-class ConfigError(ValueError):
+class ConfigError(BifracError):
     pass
 
 
@@ -138,12 +139,22 @@ def _point(cfg: dict, m: int):
     return x
 
 
-def _witness(cfg: dict, key: str):
+def _witness(cfg: dict, key: str, dim: int, p=None):
+    """The witness descriptor `key`, which must have dimension dim and,
+    when p is given, a finite L^p norm."""
     witnesses = cfg.get("witnesses", {})
+    if not isinstance(witnesses, dict):
+        raise ConfigError(f"witnesses: expected an object of descriptors, "
+                          f"got {witnesses!r}")
     if key not in witnesses:
         raise ConfigError(f"config is missing witness descriptor {key!r}")
     try:
-        return descriptor_from_dict(witnesses[key])
+        f = descriptor_from_dict(witnesses[key])
+        if f.dim != dim:
+            raise ConfigError(f"expected dim {dim}, got {f.dim}")
+        if p is not None:
+            lp_norm(f, p)
+        return f
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"witnesses.{key}: {exc}") from None
 
@@ -234,8 +245,8 @@ def cmd_probe(cfg: dict, args) -> int:
               "lambda_resolved": str(oc.lam) if auto else None}
     csv_text = None
     if "a_list" in cfg:
-        f1 = _witness(cfg, "f1")
-        f2 = _witness(cfg, "f2")
+        f1 = _witness(cfg, "f1", oc.n1, oc.p1)
+        f2 = _witness(cfg, "f2", oc.n2, oc.p2)
         report = dilation_slope(oc, f1, f2, _numbers(cfg, "a_list", True),
                                 grid=grid, quad=quad)
         record["dilation"] = report.to_record()
@@ -264,8 +275,8 @@ def cmd_norm(cfg: dict, args) -> int:
     quad = _settings(cfg, "quad", QuadratureSpec())
     if operator == "bilinear":
         oc, _ = _bilinear_config(cfg)
-        f1 = _witness(cfg, "f1")
-        f2 = _witness(cfg, "f2")
+        f1 = _witness(cfg, "f1", oc.n1)
+        f2 = _witness(cfg, "f2", oc.n2)
         if "x" in cfg:
             est = eval_bilinear(oc, f1, f2, _point(cfg, oc.m), quad)
         else:
@@ -275,13 +286,13 @@ def cmd_norm(cfg: dict, args) -> int:
         _require(cfg, "n", "m", "D", "lambda", "x")
         n, m = _check_int("n", cfg["n"], 1), _check_int("m", cfg["m"], 1)
         est = eval_linear(n, m, _exact(cfg, "D", RationalMatrix.from_rows),
-                          _exact(cfg, "lambda"), _witness(cfg, "f"),
+                          _exact(cfg, "lambda"), _witness(cfg, "f", n),
                           _point(cfg, m), quad)
     elif operator == "radial":
         _require(cfg, "n", "m", "lambda", "x")
         n, m = _check_int("n", cfg["n"], 1), _check_int("m", cfg["m"], 1)
-        est = eval_radial(n, m, _exact(cfg, "lambda"), _witness(cfg, "f"),
-                          _point(cfg, m), quad)
+        est = eval_radial(n, m, _exact(cfg, "lambda"),
+                          _witness(cfg, "f", n), _point(cfg, m), quad)
     else:
         raise ConfigError(f"unknown operator {operator!r}")
     _emit(_dump_json(est.to_record()), args.out)
@@ -310,8 +321,8 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
-            raise ValueError(f"the top level must be an object, "
-                             f"got {type(cfg).__name__}")
+            raise ConfigError(f"the top level must be an object, "
+                              f"got {type(cfg).__name__}")
     except (OSError, ValueError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -321,9 +332,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     try:
         return _COMMANDS[mode](cfg, args)
-    except (ConfigError, HypothesisError, NonIntegrableError,
-            RankDeficientStackError, DivergentNormError, NoWitnessError,
-            ValueError, TypeError, ZeroDivisionError) as exc:
+    except BifracError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -4,6 +4,8 @@ An exponent p in (0, inf] is stored via its reciprocal 1/p as an exact
 Fraction, so p = inf is the first-class value recip = 0 and every
 comparison between exponents is an exact rational comparison of
 reciprocals (q >= p iff 1/q <= 1/p, uniformly covering inf).
+
+It also holds `BifracError`, the base of every refusal in the package.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from typing import Union
 ExponentLike = Union["Exponent", int, str, Fraction]
 
 
-class ConjugateUndefinedError(ValueError):
+class BifracError(ValueError):
+    """An input bifrac refuses: malformed, out of range or outside the
+    hypotheses of a characterization."""
+
+
+class ConjugateUndefinedError(BifracError):
     """Raised when the Hoelder conjugate is requested for p < 1."""
 
 
@@ -29,7 +36,7 @@ class Exponent:
         if not isinstance(self.recip, Fraction):
             object.__setattr__(self, "recip", Fraction(self.recip))
         if self.recip < 0:
-            raise ValueError(f"reciprocal must be >= 0, got {self.recip}")
+            raise BifracError(f"reciprocal must be >= 0, got {self.recip}")
 
     # -- construction ------------------------------------------------
 
@@ -44,7 +51,7 @@ class Exponent:
             return cls(Fraction(0))
         p = parse_rational(p)
         if p <= 0:
-            raise ValueError(f"exponent must be positive, got {p}")
+            raise BifracError(f"exponent must be positive, got {p}")
         return cls(1 / p)
 
     @classmethod
@@ -64,7 +71,7 @@ class Exponent:
     def value(self) -> Fraction:
         """p as an exact Fraction; raises for p = inf."""
         if self.is_infinite:
-            raise ValueError("p is infinite")
+            raise BifracError("p is infinite")
         return 1 / self.recip
 
     # -- ordering in p (not in recip) --------------------------------
@@ -104,7 +111,7 @@ def homogeneous_lambda(n1: int, n2: int, m: int,
                        p1: Exponent, p2: Exponent, q: Exponent) -> Fraction:
     """The order forced by dilation invariance: n1/p1' + n2/p2' + m/q."""
     if min(n1, n2, m) < 1:
-        raise ValueError("dimensions must be positive")
+        raise BifracError("dimensions must be positive")
     return (n1 * conjugate(p1).recip
             + n2 * conjugate(p2).recip
             + m * q.recip)

@@ -21,30 +21,31 @@ from typing import (List, Optional, Sequence, Tuple, Union, get_args,
 import numpy as np
 
 from .classifier import Clause
+from .exponents import BifracError
 from .matrices import signature
 
 
-class DivergentNormError(ArithmeticError):
+class DivergentNormError(BifracError):
     """The requested Lp norm is infinite for this descriptor."""
 
 
 def _check_int(name: str, value, low: Optional[int] = None) -> int:
-    """value, or ValueError unless it is an int (bools refused) >= low."""
+    """value, or BifracError unless it is an int (bools refused) >= low."""
     if (isinstance(value, bool) or not isinstance(value, int)
             or (low is not None and value < low)):
         bound = "" if low is None else f" >= {low}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+        raise BifracError(f"{name} must be an integer{bound}, got {value!r}")
     return value
 
 
 def _check_real(name: str, value, positive: bool = False) -> None:
-    """Raise ValueError unless value is a finite int or float (bools
+    """Raise BifracError unless value is a finite int or float (bools
     refused), and > 0 if positive."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not math.isfinite(value) or (positive and value <= 0)):
         bound = " > 0" if positive else ""
-        raise ValueError(f"{name} must be a finite number{bound}, "
-                         f"got {value!r}")
+        raise BifracError(f"{name} must be a finite number{bound}, "
+                          f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -96,11 +97,11 @@ class IndicatorBall(TestFunction):
 
     def __post_init__(self):
         if self.radius <= 0:
-            raise ValueError("radius must be positive")
+            raise BifracError("radius must be positive")
         if self.center is None:
             object.__setattr__(self, "center", (0.0,) * self.dim)
         if len(self.center) != self.dim:
-            raise ValueError("center dimension mismatch")
+            raise BifracError("center dimension mismatch")
 
     def values(self, y):
         d = y - np.asarray(self.center)
@@ -122,7 +123,7 @@ class MollifiedDelta(TestFunction):
 
     def __post_init__(self):
         if self.width <= 0:
-            raise ValueError("width must be positive")
+            raise BifracError("width must be positive")
 
     @property
     def height(self) -> float:
@@ -153,7 +154,7 @@ class _PowerLogProfile(TestFunction):
 
     def __post_init__(self):
         if not self.p > 0:
-            raise ValueError(f"need p > 0, got {self.p!r}")
+            raise BifracError(f"need p > 0, got {self.p!r}")
 
     def values(self, y):
         r = np.linalg.norm(y, axis=-1)
@@ -223,7 +224,7 @@ class PowerLog(_PowerLogProfile):
     def __post_init__(self):
         super().__post_init__()
         if not 0 < self.cutoff < 1:
-            raise ValueError(f"need cutoff in (0, 1), got {self.cutoff!r}")
+            raise BifracError(f"need cutoff in (0, 1), got {self.cutoff!r}")
 
 
 @dataclass(frozen=True)
@@ -239,11 +240,11 @@ class SplitPowerLog(_PowerLogProfile):
 
     def __post_init__(self):
         if self.head + self.tail != self.dim:
-            raise ValueError("head + tail must equal dim")
+            raise BifracError("head + tail must equal dim")
         if self.tail < 1:
-            raise ValueError("tail block must be nonempty")
+            raise BifracError("tail block must be nonempty")
         if self.head < 0:
-            raise ValueError("head block size must be >= 0")
+            raise BifracError("head block size must be >= 0")
         super().__post_init__()
 
 
@@ -270,7 +271,7 @@ class Gaussian(TestFunction):
 
     def __post_init__(self):
         if self.scale <= 0:
-            raise ValueError("scale must be positive")
+            raise BifracError("scale must be positive")
 
     def values(self, y):
         r2 = np.sum(np.square(np.asarray(y)), axis=-1)
@@ -291,9 +292,9 @@ class Dilated(TestFunction):
 
     def __post_init__(self):
         if self.a <= 0:
-            raise ValueError("dilation factor must be positive")
+            raise BifracError("dilation factor must be positive")
         if self.inner is None or self.inner.dim != self.dim:
-            raise ValueError("inner descriptor dimension mismatch")
+            raise BifracError("inner descriptor dimension mismatch")
 
     def values(self, y):
         return self.inner.values(np.asarray(y) / self.a)
@@ -318,11 +319,11 @@ class Translated(TestFunction):
 
     def __post_init__(self):
         if self.inner is None or self.inner.dim != self.dim:
-            raise ValueError("inner descriptor dimension mismatch")
+            raise BifracError("inner descriptor dimension mismatch")
         if len(self.z) != self.dim:
-            raise ValueError("shift dimension mismatch")
+            raise BifracError("shift dimension mismatch")
         if self.mask is not None and len(self.mask) != self.dim:
-            raise ValueError("mask dimension mismatch")
+            raise BifracError("mask dimension mismatch")
 
     def _shift(self) -> np.ndarray:
         shift = np.asarray(self.z, dtype=float)
@@ -355,14 +356,6 @@ def translate(f: TestFunction, z: Sequence[float], mask=None) -> TestFunction:
                       mask=None if mask is None else tuple(mask))
 
 
-def evaluate(f: TestFunction, y) -> float:
-    """Pointwise value at a single point y."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (f.dim,):
-        raise ValueError(f"point has shape {y.shape}, expected ({f.dim},)")
-    return float(f.values(y[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
 # Lp norms
 
@@ -376,7 +369,7 @@ def lp_norm(f: TestFunction, p) -> NormEstimate:
     """
     pv = float(p)
     if pv <= 0:
-        raise ValueError("p must be positive")
+        raise BifracError("p must be positive")
     return f.norm(pv)
 
 
@@ -399,7 +392,7 @@ EPS_SWEEP = (0.4, 0.2, 0.1, 0.05)
 DELTA_SWEEP = (0.25, 0.0625, 0.015625)
 
 
-class NoWitnessError(LookupError):
+class NoWitnessError(BifracError):
     """No counterexample family is defined for this clause."""
 
 
@@ -502,7 +495,7 @@ def descriptor_to_dict(f: TestFunction) -> dict:
 
 def _parameter(name: str, hint, v):
     """v, the JSON value of a descriptor field annotated `hint`, checked
-    and converted, or ValueError naming the parameter: Optional allows
+    and converted, or BifracError naming the parameter: Optional allows
     null, Tuple[X, ...] is a list of X, TestFunction a nested descriptor
     object, and otherwise v is a bool, an int or a finite number."""
     if get_origin(hint) is Union:
@@ -511,17 +504,17 @@ def _parameter(name: str, hint, v):
         hint = get_args(hint)[0]
     if get_origin(hint) is tuple:
         if not isinstance(v, list):
-            raise ValueError(f"{name} must be a list, got {v!r}")
+            raise BifracError(f"{name} must be a list, got {v!r}")
         return tuple(_parameter(f"{name}[{i}]", get_args(hint)[0], u)
                      for i, u in enumerate(v))
     if hint is TestFunction:
         if not isinstance(v, dict):
-            raise ValueError(f"{name} must be a descriptor object, "
-                             f"got {v!r}")
+            raise BifracError(f"{name} must be a descriptor object, "
+                              f"got {v!r}")
         return descriptor_from_dict(v, name + ".")
     if hint is bool:
         if not isinstance(v, bool):
-            raise ValueError(f"{name} must be true or false, got {v!r}")
+            raise BifracError(f"{name} must be true or false, got {v!r}")
     elif hint is int:
         _check_int(name, v)
     else:
@@ -538,10 +531,10 @@ def descriptor_from_dict(d: dict, path: str = "") -> TestFunction:
     d = dict(d)
     tag = d.pop("tag", None)
     if tag not in _TAGS:
-        raise ValueError(f"unknown descriptor tag {tag!r}")
+        raise BifracError(f"unknown descriptor tag {tag!r}")
     hints = get_type_hints(_TAGS[tag])
     for key, v in d.items():
         if key not in hints:
-            raise ValueError(f"{path + key} is not a parameter of {tag!r}")
+            raise BifracError(f"{path + key} is not a parameter of {tag!r}")
         d[key] = _parameter(path + key, hints[key], v)
     return _TAGS[tag](**d)

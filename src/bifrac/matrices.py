@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
 
-from .exponents import parse_rational
+from .exponents import BifracError, parse_rational
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(BifracError):
     pass
 
 
-class RankDeficientStackError(ValueError):
+class RankDeficientStackError(BifracError):
     """Stacked matrix does not have full column rank."""
 
 
@@ -33,16 +33,21 @@ class RationalMatrix:
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
+            raise BifracError("entry count does not match shape")
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "RationalMatrix":
+        """The matrix of a list (or tuple) of rows, each a list (or
+        tuple) of exact rationals; a string is not read as a row."""
+        if not (isinstance(data, (list, tuple))
+                and all(isinstance(row, (list, tuple)) for row in data)):
+            raise BifracError(f"expected a list of rows, got {data!r}")
         rows = len(data)
         cols = len(data[0]) if rows else 0
         ent = []
         for row in data:
             if len(row) != cols:
-                raise ValueError("ragged rows")
+                raise BifracError("ragged rows")
             ent.extend(parse_rational(v) for v in row)
         return cls(rows, cols, tuple(ent))
 
@@ -72,7 +77,7 @@ class RationalMatrix:
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
+            raise BifracError("shape mismatch in product")
         ent = []
         for i in range(self.rows):
             for j in range(other.cols):
@@ -82,7 +87,7 @@ class RationalMatrix:
 
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:
-            raise ValueError("column count mismatch in stack")
+            raise BifracError("column count mismatch in stack")
         return RationalMatrix(self.rows + other.rows, self.cols,
                               self.entries + other.entries)
 

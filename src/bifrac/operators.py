@@ -55,12 +55,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .classifier import OperatorConfig, check_shape
+from .exponents import BifracError
 from .functions import (NormEstimate, TestFunction, _check_int, _check_real,
-                        dilate, lp_norm, translate)
+                        dilate, lp_norm)
 from .matrices import RationalMatrix
 
 
-class NonIntegrableError(ValueError):
+class NonIntegrableError(BifracError):
     """Kernel exponent too large for local integrability."""
 
 
@@ -99,7 +100,7 @@ class GridSpec:
         _check_real("half_width", self.half_width, True)
         _check_int("points_per_axis", self.points_per_axis, 3)
         if self.points_per_axis % 2 == 0:
-            raise ValueError("points_per_axis must be odd")
+            raise BifracError("points_per_axis must be odd")
 
     def points(self, m: int) -> np.ndarray:
         axis = np.linspace(-self.half_width, self.half_width,
@@ -274,7 +275,7 @@ def _evaluate(inputs: Sequence[TestFunction], centres: Sequence[np.ndarray],
     blocks = [c.size for c in centres]
     for f, n in zip(inputs, blocks):
         if f.dim != n:
-            raise ValueError(f"input of dim {f.dim} on a block of dim {n}")
+            raise BifracError(f"input of dim {f.dim} on a block of dim {n}")
     top = sum(blocks) if offset == 0 else math.inf
     if not 0 < lam < top:
         raise NonIntegrableError(f"kernel order {lam} is outside (0, {top}),"
@@ -383,9 +384,12 @@ def norm_ratio(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
                workers: Optional[int] = None) -> Tuple[float, float]:
     """||I(f1, f2)||_q / (||f1||_p1 ||f2||_p2) on the grid, with the
     propagated numerator error."""
-    num = lq_norm_on_grid(cfg, f1, f2, grid, quad, workers=workers)
     d1 = lp_norm(f1, cfg.p1).value
     d2 = lp_norm(f2, cfg.p2).value
+    if not d1 * d2 > 0:
+        raise BifracError(f"norm ratio undefined: the input norms are "
+                          f"{d1} and {d2}")
+    num = lq_norm_on_grid(cfg, f1, f2, grid, quad, workers=workers)
     return num.value / (d1 * d2), num.abs_error / (d1 * d2)
 
 
@@ -397,15 +401,15 @@ def dilation_slope(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
     """Least-squares slope of log(norm ratio) against log(a) for the
     dilated pair (f1(./a), f2(./a)), with the exact prediction."""
     if len(a_list) < 2 or len(set(a_list)) < len(a_list):
-        raise ValueError(f"a_list: need at least two distinct dilation "
-                         f"factors, got {list(a_list)!r}")
+        raise BifracError(f"a_list: need at least two distinct dilation "
+                          f"factors, got {list(a_list)!r}")
     if cfg.q.is_infinite:
-        raise ValueError("slope probe requires q < inf")
+        raise BifracError("q: slope probe requires q < inf")
     pairs = [norm_ratio(cfg, dilate(f1, a), dilate(f2, a),
                         grid, quad, workers=workers) for a in a_list]
     ratios = [r for r, _ in pairs]
     if any(r <= 0 for r in ratios):
-        raise ValueError("nonpositive norm ratio in slope probe")
+        raise BifracError("nonpositive norm ratio in slope probe")
     xs = np.log(np.asarray(a_list, dtype=float))
     ys = np.log(np.asarray(ratios))
     if len(a_list) > 2:
@@ -420,42 +424,6 @@ def dilation_slope(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
                        slope=float(slope),
                        slope_stderr=stderr,
                        predicted_slope=predicted_dilation_slope(cfg))
-
-
-def translation_covariance_defect(cfg: OperatorConfig,
-                                  f1: TestFunction, f2: TestFunction,
-                                  z,
-                                  grid: GridSpec = GridSpec(),
-                                  quad: QuadratureSpec = QuadratureSpec(),
-                                  workers: Optional[int] = None) -> float:
-    """Max-over-grid defect of the translation covariance identity.
-
-    Shifting each input by its own matrix image of z must equal an
-    output shift by z: I(f1(. - D1 z), f2(. - D2 z))(x) =
-    I(f1, f2)(x - z) exactly in the continuum; the defect is
-    quadrature-level small.
-    """
-    z = np.asarray(z, dtype=float).reshape(cfg.m)
-    z1 = cfg.D1.to_float() @ z
-    z2 = cfg.D2.to_float() @ z
-    xs = grid.points(cfg.m)
-    shifted, _ = _pointwise_values(cfg, translate(f1, z1), translate(f2, z2),
-                                   xs, quad, workers=workers)
-    base, _ = _pointwise_values(cfg, f1, f2, xs - z[None, :], quad,
-                                workers=workers)
-    return float(np.max(np.abs(shifted - base)))
-
-
-def combined_grid_error(cfg: OperatorConfig, f1: TestFunction,
-                        f2: TestFunction,
-                        grid: GridSpec = GridSpec(),
-                        quad: QuadratureSpec = QuadratureSpec(),
-                        workers: Optional[int] = None) -> float:
-    """Sum of per-point quadrature error estimates over the grid; the
-    natural yardstick for translation-defect comparisons."""
-    _, errs = _pointwise_values(cfg, f1, f2, grid.points(cfg.m), quad,
-                                workers=workers)
-    return float(np.sum(errs))
 
 
 def blowup_probe(cfg: OperatorConfig, family,

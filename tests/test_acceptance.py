@@ -10,18 +10,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from bifrac.classifier import (HypothesisError, classify_bilinear,
-                               classify_symmetric, make_config)
+from bifrac.classifier import HypothesisError, classify_bilinear, make_config
 from bifrac.exponents import Exponent, homogeneous_lambda
 from bifrac.functions import (Gaussian, IndicatorBall, MollifiedDelta,
                               PowerLog, dilate, lp_norm)
 from bifrac.matrices import (RationalMatrix, joint_normal_form, rank,
                              single_normal_form)
 from bifrac.operators import (GridSpec, QuadratureSpec, blowup_probe,
-                              combined_grid_error, dilation_slope,
-                              eval_bilinear, eval_linear, eval_radial,
-                              lq_norm_on_grid, norm_ratio,
-                              translation_covariance_defect)
+                              dilation_slope, eval_bilinear, eval_linear,
+                              eval_radial, lq_norm_on_grid, norm_ratio)
+from oracles import (classify_symmetric, combined_grid_error,
+                     translation_covariance_defect)
 
 
 def report(name, ok, detail):

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from bifrac.classifier import (Clause, HypothesisError, classify_bilinear,
-                               classify_symmetric, classify_linear,
-                               classify_pairing, classify_radial, make_config)
+                               classify_linear, classify_radial, make_config)
 from bifrac.exponents import Exponent, homogeneous_lambda
 from bifrac.matrices import RationalMatrix, rank
+from oracles import classify_pairing, classify_symmetric
 
 
 def cfg(n1, n2, m, D1, D2, p1, p2, q, lam):

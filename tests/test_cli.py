@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+from bifrac import (BifracError, ConjugateUndefinedError, DivergentNormError,
+                    HypothesisError, NoWitnessError, NonIntegrableError,
+                    RankDeficientStackError, SingularMatrixError, cli)
 from bifrac.cli import main
 
 
@@ -230,6 +233,30 @@ RADIAL = {"operator": "radial", "n": 1, "m": 1, "lambda": "3/2",
                   witnesses={"f1": {"tag": "split-power-log", "dim": 2,
                                     "head": 1, "tail": 1, "p": 0.0},
                              "f2": {"tag": "gaussian", "dim": 1}}),
+     "witnesses.f1"),
+    ("classify", dict(BILINEAR, n1=2, D1="12"), "D1"),
+    ("classify", dict(BILINEAR, D1=["1"]), "D1"),
+    ("reduce", {"D1": "12", "D2": "3"}, "D1"),
+    ("sweep", dict(BASE, D2="1"), "D2"),
+    ("norm", dict(LINEAR, D="1"), "D"),
+    ("norm", dict(BILINEAR, **{"lambda": "1/2"}, x=[0.5],
+                  witnesses={"f1": {"tag": "gaussian", "dim": 2},
+                             "f2": {"tag": "gaussian", "dim": 1}}),
+     "witnesses.f1"),
+    ("norm", dict(LINEAR, witnesses={"f": {"tag": "gaussian", "dim": 2}}),
+     "witnesses.f"),
+    ("norm", dict(RADIAL, witnesses={"f": {"tag": "gaussian", "dim": 2}}),
+     "witnesses.f"),
+    ("norm", dict(BILINEAR, **{"lambda": "1/2"}, x=[0.5],
+                  witnesses=["f1", "f2"]), "witnesses"),
+    ("probe", dict(BILINEAR, q="inf", **{"lambda": "1"}, a_list=[0.5, 1.0],
+                   grid={"points_per_axis": 5},
+                   witnesses={"f1": {"tag": "gaussian", "dim": 1},
+                              "f2": {"tag": "gaussian", "dim": 1}}), "q"),
+    ("probe", dict(BILINEAR, **{"lambda": "3/2"}, a_list=[0.5, 1.0],
+                   grid={"points_per_axis": 5},
+                   witnesses={"f1": {"tag": "power-log", "dim": 1, "p": 1.0},
+                              "f2": {"tag": "gaussian", "dim": 1}}),
      "witnesses.f1"),
 ])
 def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
@@ -477,8 +504,11 @@ def test_single_ratio_blowup_is_not_monotone_growth(tmp_path, capsys):
     ({"tag": "constant", "dim": 1, "value": 1.0}, "2", "not in L^p"),
     # the slope law is stated for q < inf
     ({"tag": "gaussian", "dim": 1}, "inf", "q < inf"),
+    # a zero witness leaves the norm ratio undefined
+    ({"tag": "constant", "dim": 1, "value": 0.0}, "2",
+     "norm ratio undefined"),
 ], ids=["f10-nonpositive norm ratio", "f11-not in L^p",  # f1 and message
-        "f12-q < inf"])
+        "f12-q < inf", "f13-norm ratio undefined"])
 def test_numeric_probe_failures_exit_two(tmp_path, capsys, f1, q, message):
     cfg = dict(BILINEAR, q=q, **{"lambda": "3/2"}, a_list=[0.5, 1.0],
                witnesses={"f1": f1, "f2": {"tag": "gaussian", "dim": 1}},
@@ -487,3 +517,40 @@ def test_numeric_probe_failures_exit_two(tmp_path, capsys, f1, q, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert message in captured.err
+
+
+# -- the refusal contract: refusals exit 2, bugs propagate ------------
+
+
+@pytest.mark.parametrize("bug", [ZeroDivisionError, TypeError])
+def test_a_bug_inside_a_command_propagates(tmp_path, capsys, monkeypatch,
+                                           bug):
+    """Only a BifracError is a refusal: any other exception raised inside
+    a command leaves main as itself, not as exit 2."""
+    def broken(oc):
+        raise bug("a program bug")
+
+    monkeypatch.setattr(cli, "classify_bilinear", broken)
+    path = write_config(tmp_path, dict(BILINEAR, **{"lambda": "3/2"}))
+    with pytest.raises(bug, match="^a program bug$"):
+        main(["--config", path, "--mode", "classify"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("error", [
+    cli.ConfigError, HypothesisError, NonIntegrableError,
+    RankDeficientStackError, SingularMatrixError, ConjugateUndefinedError,
+    DivergentNormError, NoWitnessError])
+def test_every_refusal_is_a_bifrac_error(error):
+    assert issubclass(error, BifracError)
+
+
+def test_a_refusal_is_one_error_line(tmp_path):
+    """Run as a program, a malformed config exits 2 with exactly one
+    `error:` line on stderr, no traceback and nothing on stdout."""
+    path = write_config(tmp_path, dict(BILINEAR, D1="12"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bifrac.cli", "--config", path,
+         "--mode", "classify"], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: D1: expected a list of rows, got '12'\n"

@@ -15,8 +15,9 @@ from bifrac.exponents import Exponent
 from bifrac.functions import (Constant, DivergentNormError, Gaussian,
                               IndicatorBall, MollifiedDelta, NoWitnessError,
                               PowerLog, SplitPowerLog, descriptor_from_dict,
-                              descriptor_to_dict, dilate, evaluate, lp_norm,
+                              descriptor_to_dict, dilate, lp_norm,
                               translate, truncated_powerlog_norm, witness_for)
+from oracles import evaluate
 
 
 # -- pointwise evaluation ---------------------------------------------

@@ -19,8 +19,8 @@ from bifrac.operators import (GridSpec, NonIntegrableError, QuadratureSpec,
                               _dyadic_cells, _partition,
                               dilation_slope, eval_bilinear, eval_linear,
                               eval_radial, lq_norm_on_grid,
-                              predicted_dilation_slope,
-                              translation_covariance_defect)
+                              predicted_dilation_slope)
+from oracles import translation_covariance_defect
 
 
 REF = make_config(1, 1, 1, [[1]], [[1]], 2, 2, 2, Fraction(3, 2))
