@@ -298,6 +298,56 @@ def decide(sig: tuple, p1: Exponent, p2: Exponent, q: Exponent,
     return accepted("4d")
 
 
+def sweep_verdicts(sig: tuple, divisor: int):
+    """Yield (i, j, k, (bounded, clause)) for every lattice row
+    (1/p1, 1/p2, 1/q) = (i, j, k) / N, N = divisor, 0 <= i, j, k <= N,
+    in lexicographic order, at the homogeneous order λ*.
+
+    On the lattice λ* = (n1·(N − i) + n2·(N − j) + m·k) / N is affine in
+    (i, j, k), so every comparison `decide` makes is the sign of one of
+    14 integer forms: i, 2i − N, i − N and the same in j; i + j − N and
+    i − j; k, k − i, k − j and k − i − j; the numerator of λ* against 0
+    and against (n1 + n2)·N.  The verdict is constant on each class of
+    equal signs, so `decide` runs once per class, on its first row.  The
+    forms restate `decide`'s comparisons; keep the two in step.  A
+    HypothesisError labels its row (False, its clause).
+    """
+    n1, n2, m = sig[:3]
+    N = divisor
+    top = (n1 + n2) * N
+    # sign[v] is the sign of v for every |v| <= R, which bounds all 14
+    # forms; negative v index from the end
+    R = (n1 + n2 + m) * N
+    sign = (0,) + (1,) * R + (-1,) * R
+    by_class = {}
+    for i in range(N + 1):
+        for j in range(N + 1):
+            lam_ij = n1 * (N - i) + n2 * (N - j)
+            signs_ij = (sign[i], sign[2 * i - N], sign[i - N],
+                        sign[j], sign[2 * j - N], sign[j - N],
+                        sign[i + j - N], sign[i - j])
+            for k in range(N + 1):
+                lam_num = lam_ij + m * k
+                key = (signs_ij, sign[k], sign[k - i], sign[k - j],
+                       sign[k - i - j], sign[lam_num], sign[lam_num - top])
+                label = by_class.get(key)
+                if label is None:
+                    label = by_class[key] = _sweep_label(sig, i, j, k,
+                                                         lam_num, N)
+                yield i, j, k, label
+
+
+def _sweep_label(sig: tuple, i: int, j: int, k: int, lam_num: int,
+                 N: int) -> tuple:
+    """(bounded, clause) of `decide` at the lattice row (i, j, k) / N."""
+    p1, p2, q = (Exponent(Fraction(v, N)) for v in (i, j, k))
+    try:
+        verdict = decide(sig, p1, p2, q, Fraction(lam_num, N))
+    except HypothesisError as exc:
+        return False, exc.clause
+    return verdict.bounded, verdict.clause
+
+
 def classify_linear(n: int, m: int, D: RationalMatrix,
                     p: Exponent, q: Exponent, lam: Fraction) -> Verdict:
     """Generalized Riesz potential with matrix argument Dx.

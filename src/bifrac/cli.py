@@ -15,15 +15,14 @@ propagates as a traceback.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
-from .classifier import (HypothesisError, check_shapes, classify_bilinear,
-                         decide, make_config)
+from .classifier import (check_shapes, classify_bilinear, make_config,
+                         sweep_verdicts)
 from .exponents import (BifracError, ConjugateUndefinedError, Exponent,
                         homogeneous_lambda, parse_rational)
 from .functions import (_check_int, _check_real, descriptor_from_dict,
@@ -57,7 +56,7 @@ def _dump_json(obj) -> str:
 
 def _dump_csv(header, rows) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(str(c) for c in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -84,7 +83,7 @@ def _exact(cfg: dict, key: str, parse=parse_rational):
     value = cfg[key]
     try:
         return parse(value)
-    except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 
@@ -106,6 +105,29 @@ def _bilinear_config(cfg: dict):
     lam, auto = _resolve_lambda(cfg, n1, n2, m, p1, p2, q)
     D1, D2 = (_exact(cfg, k, RationalMatrix.from_rows) for k in ("D1", "D2"))
     oc = make_config(n1, n2, m, D1, D2, p1, p2, q, lam)
+    return oc, auto
+
+
+def _fits_float(key: str, value):
+    """value, refused naming key when it, or an entry of it, is too
+    large for a float: the numeric modes compute in floats."""
+    entries = value.entries if isinstance(value, RationalMatrix) else (value,)
+    try:
+        for v in entries:
+            float(v)
+    except OverflowError:
+        raise ConfigError(f"{key}: too large for the numeric modes") \
+            from None
+    return value
+
+
+def _numeric_config(cfg: dict):
+    """`_bilinear_config` for the numeric modes, refusing an exponent,
+    order or matrix entry too large for a float."""
+    oc, auto = _bilinear_config(cfg)
+    for key in ("p1", "p2", "q", "D1", "D2"):
+        _fits_float(key, getattr(oc, key))
+    _fits_float("lambda", oc.lam)
     return oc, auto
 
 
@@ -219,25 +241,18 @@ def cmd_sweep(cfg: dict, args) -> int:
     n1, n2, m = (_check_int(k, cfg[k], 1) for k in ("n1", "n2", "m"))
     D1, D2 = (_exact(cfg, k, RationalMatrix.from_rows) for k in ("D1", "D2"))
     check_shapes(n1, n2, m, D1, D2)
-    sig = signature(D1, D2)
-    lattice = [Exponent(Fraction(i, divisor)) for i in range(divisor + 1)]
-    rows = []
-    for p1, p2, q in itertools.product(lattice, repeat=3):
-        lam = homogeneous_lambda(n1, n2, m, p1, p2, q)
-        try:
-            verdict = decide(sig, p1, p2, q, lam)
-            bounded, clause = verdict.bounded, verdict.clause.value
-        except HypothesisError as exc:
-            bounded, clause = False, exc.clause.value
-        rows.append((p1.recip, p2.recip, q.recip,
-                     "true" if bounded else "false", clause))
+    recips = [str(Fraction(v, divisor)) for v in range(divisor + 1)]
+    rows = ((recips[i], recips[j], recips[k],
+             "true" if bounded else "false", clause.value)
+            for i, j, k, (bounded, clause)
+            in sweep_verdicts(signature(D1, D2), divisor))
     _emit(_dump_csv(("inv_p1", "inv_p2", "inv_q", "bounded", "clause"),
                     rows), args.out)
     return EXIT_BOUNDED
 
 
 def cmd_probe(cfg: dict, args) -> int:
-    oc, auto = _bilinear_config(cfg)
+    oc, auto = _numeric_config(cfg)
     quad = _settings(cfg, "quad", QuadratureSpec())
     grid = _settings(cfg, "grid", GridSpec())
     verdict = classify_bilinear(oc)
@@ -274,7 +289,7 @@ def cmd_norm(cfg: dict, args) -> int:
     operator = cfg.get("operator", "bilinear")
     quad = _settings(cfg, "quad", QuadratureSpec())
     if operator == "bilinear":
-        oc, _ = _bilinear_config(cfg)
+        oc, _ = _numeric_config(cfg)
         f1 = _witness(cfg, "f1", oc.n1)
         f2 = _witness(cfg, "f2", oc.n2)
         if "x" in cfg:
@@ -285,14 +300,16 @@ def cmd_norm(cfg: dict, args) -> int:
     elif operator == "linear":
         _require(cfg, "n", "m", "D", "lambda", "x")
         n, m = _check_int("n", cfg["n"], 1), _check_int("m", cfg["m"], 1)
-        est = eval_linear(n, m, _exact(cfg, "D", RationalMatrix.from_rows),
-                          _exact(cfg, "lambda"), _witness(cfg, "f", n),
+        D = _fits_float("D", _exact(cfg, "D", RationalMatrix.from_rows))
+        lam = _fits_float("lambda", _exact(cfg, "lambda"))
+        est = eval_linear(n, m, D, lam, _witness(cfg, "f", n),
                           _point(cfg, m), quad)
     elif operator == "radial":
         _require(cfg, "n", "m", "lambda", "x")
         n, m = _check_int("n", cfg["n"], 1), _check_int("m", cfg["m"], 1)
-        est = eval_radial(n, m, _exact(cfg, "lambda"),
-                          _witness(cfg, "f", n), _point(cfg, m), quad)
+        lam = _fits_float("lambda", _exact(cfg, "lambda"))
+        est = eval_radial(n, m, lam, _witness(cfg, "f", n), _point(cfg, m),
+                          quad)
     else:
         raise ConfigError(f"unknown operator {operator!r}")
     _emit(_dump_json(est.to_record()), args.out)

@@ -127,7 +127,10 @@ def parse_rational(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise BifracError(f"zero denominator in {v!r}") from None
     if isinstance(v, float):
         raise TypeError(f"refusing to coerce float {v!r} to exact rational")
     raise TypeError(f"cannot parse rational from {type(v).__name__}")

@@ -1,15 +1,19 @@
 """Decision-procedure tests: worked instances, cross-checks between
 the independent classifiers, and structural invariances."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from bifrac.classifier import (Clause, HypothesisError, classify_bilinear,
-                               classify_linear, classify_radial, make_config)
+from bifrac import classifier
+from bifrac.classifier import (EQUALITY_NOT_ACCESSIBLE, Clause,
+                               HypothesisError, classify_bilinear,
+                               classify_linear, classify_radial, decide,
+                               make_config, sweep_verdicts)
 from bifrac.exponents import Exponent, homogeneous_lambda
-from bifrac.matrices import RationalMatrix, rank
+from bifrac.matrices import RationalMatrix, rank, signature
 from oracles import classify_pairing, classify_symmetric
 
 
@@ -271,3 +275,76 @@ def test_verdict_record_shape():
     assert rec["lambda"] == "3/2"
     assert set(rec) == {"bounded", "clause", "subreason", "r1", "r2",
                         "lambda", "detail"}
+
+
+# -- the sign-class sweep --------------------------------------------
+
+# One pair per rank pattern with n_i = m, the same patterns with
+# n_i > m (so that the equality branches that need slack run), a 4d
+# pair with r1 + r2 > m, a stack-deficient and a rectangular pair.
+SWEEP_BANK = [
+    ([[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+    ([[1], [0]], [[0], [1], [1]]),
+    ([[0, 0], [0, 0]], [[1, 0], [0, 1]]),
+    ([[0]], [[1], [2]]),
+    ([[1, 0], [0, 0]], [[1, 0], [0, 1]]),
+    ([[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]),
+    ([[1, 0], [0, 0]], [[0, 0], [0, 1]]),
+    ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+    ([[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]),
+    ([[1, 0], [0, 0]], [[1, 0], [0, 0]]),
+    ([["1/2", 1]], [[1, -1], [2, -2], [0, 0]]),
+]
+
+
+def _bank_signature(D1, D2):
+    return signature(RationalMatrix.from_rows(D1),
+                     RationalMatrix.from_rows(D2))
+
+
+def _per_row_decide(sig, divisor):
+    """(i, j, k, (bounded, clause)) from one `decide` per lattice row,
+    and the set of (clause, subreason) pairs it returned."""
+    n1, n2, m = sig[:3]
+    rows, seen = [], set()
+    for i, j, k in itertools.product(range(divisor + 1), repeat=3):
+        p1, p2, q = (Exponent(Fraction(v, divisor)) for v in (i, j, k))
+        try:
+            v = decide(sig, p1, p2, q,
+                       homogeneous_lambda(n1, n2, m, p1, p2, q))
+            label = v.bounded, v.clause
+            seen.add((v.clause, v.subreason))
+        except HypothesisError as exc:
+            label = False, exc.clause
+        rows.append((i, j, k, label))
+    return rows, seen
+
+
+def test_sign_class_sweep_matches_per_row_decide(monkeypatch):
+    """`sweep_verdicts` labels every row as a per-row `decide` does, and
+    calls `decide` once per sign class, not once per row."""
+    seen = set()
+    for divisor in (2, 5, 12):
+        for D1, D2 in SWEEP_BANK:
+            sig = _bank_signature(D1, D2)
+            expected, seen_here = _per_row_decide(sig, divisor)
+            assert list(sweep_verdicts(sig, divisor)) == expected, \
+                (D1, D2, divisor)
+            seen |= seen_here
+    # every refused equality of 4a, 4b and 4d ran in the oracle
+    for case in (Clause.CASE_4A, Clause.CASE_4B, Clause.CASE_4D):
+        assert (case, EQUALITY_NOT_ACCESSIBLE) in seen
+
+    calls = []
+
+    def counting_decide(*args):
+        calls.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(classifier, "decide", counting_decide)
+    for D1, D2 in SWEEP_BANK:
+        calls.clear()
+        rows = sum(1 for _ in sweep_verdicts(_bank_signature(D1, D2), 24))
+        assert rows == 25 ** 3
+        assert 0 < len(calls) < 300, (D1, D2, len(calls))

@@ -105,6 +105,9 @@ def test_sweep_rejects_shape_mismatch(tmp_path, capsys):
 
 BILINEAR = dict(BASE, p1="2", p2="2", q="2")
 NAN, INF = float("nan"), float("inf")
+HUGE = "1" + "0" * 400  # an exponent no float can hold
+GAUSSIANS = {"f1": {"tag": "gaussian", "dim": 1},
+             "f2": {"tag": "gaussian", "dim": 1}}
 LINEAR = {"operator": "linear", "n": 1, "m": 1, "D": [[1]],
           "lambda": "1/2", "x": [0.0],
           "witnesses": {"f": {"tag": "indicator-ball", "dim": 1}}}
@@ -258,6 +261,9 @@ RADIAL = {"operator": "radial", "n": 1, "m": 1, "lambda": "3/2",
                    witnesses={"f1": {"tag": "power-log", "dim": 1, "p": 1.0},
                               "f2": {"tag": "gaussian", "dim": 1}}),
      "witnesses.f1"),
+    ("probe", dict(BILINEAR, p1=HUGE, q="4", **{"lambda": "7/4"},
+                   witnesses=GAUSSIANS), "p1"),
+    ("classify", dict(BILINEAR, p1="1/0"), "p1"),
 ])
 def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
                                               key):
@@ -265,10 +271,6 @@ def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.split()[1].rstrip(":") == key
-
-
-GAUSSIANS = {"f1": {"tag": "gaussian", "dim": 1},
-             "f2": {"tag": "gaussian", "dim": 1}}
 
 
 @pytest.mark.parametrize("mode, cfg, message", [
@@ -280,6 +282,18 @@ GAUSSIANS = {"f1": {"tag": "gaussian", "dim": 1},
     ("norm", dict(LINEAR, operator="trilinear"),
      "unknown operator 'trilinear'"),
     ("classify", dict(BILINEAR, D1=[[1], [1, 0]]), "D1: ragged rows"),
+    ("classify", dict(BILINEAR, p1="1/0"), "p1: zero denominator in '1/0'"),
+    ("probe", dict(BILINEAR, p1=HUGE, q="4", **{"lambda": "7/4"},
+                   witnesses=GAUSSIANS),
+     "p1: too large for the numeric modes"),
+    ("norm", dict(BILINEAR, q=HUGE, **{"lambda": "7/4"}, witnesses=GAUSSIANS,
+                  grid={"points_per_axis": 5}),
+     "q: too large for the numeric modes"),
+    ("norm", dict(BILINEAR, D1=[[HUGE]], **{"lambda": "3/2"}, x=[0.5],
+                  witnesses=GAUSSIANS), "D1: too large for the numeric modes"),
+    ("norm", dict(LINEAR, D=[[HUGE]]), "D: too large for the numeric modes"),
+    ("norm", dict(RADIAL, **{"lambda": HUGE}),
+     "lambda: too large for the numeric modes"),
 ])
 def test_config_errors_name_their_cause(tmp_path, capsys, mode, cfg,
                                         message):
@@ -287,6 +301,17 @@ def test_config_errors_name_their_cause(tmp_path, capsys, mode, cfg,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_an_exponent_too_large_for_a_float_is_exact_in_classify(tmp_path,
+                                                               capsys):
+    """Only the numeric modes refuse an exponent beyond float range:
+    `classify` decides it exactly, here as a homogeneity failure."""
+    cfg = dict(BILINEAR, p1=HUGE, q="4", **{"lambda": "7/4"})
+    code, out = run_cli(["--config", write_config(tmp_path, cfg),
+                         "--mode", "classify"], capsys)
+    assert code == 1
+    assert json.loads(out)["clause"] == "HomogeneityFailed"
 
 
 def test_bilinear_norm_without_x_is_the_grid_norm(tmp_path, capsys):
@@ -345,6 +370,19 @@ def test_sweep_matches_direct_classification(tmp_path, capsys):
             assert row[3] == ("true" if v.bounded else "false")
         except HypothesisError:
             assert row[3] == "false" and row[4] == "LambdaOutOfRange"
+
+
+def test_divisor_64_sweep_digest(tmp_path, capsys):
+    """SHA-256 of the stdout of the largest sweep, the 4d pair at divisor
+    64 (274,625 rows), as the per-row `decide` loop printed it."""
+    import hashlib
+    cfg = {"n1": 2, "n2": 2, "m": 2, "D1": [[1, 0], [0, 0]],
+           "D2": [[0, 0], [0, 1]], "sweep": {"divisor": 64}}
+    code, out = run_cli(["--config", write_config(tmp_path, cfg),
+                         "--mode", "sweep"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "37fb5963c1b853f8d951eddaf45f226bf24f4946d873d7d5eadb09564def7689")
 
 
 def test_reduce_joint_form(tmp_path, capsys):

@@ -20,6 +20,7 @@ from bifrac.operators import (GridSpec, NonIntegrableError, QuadratureSpec,
                               dilation_slope, eval_bilinear, eval_linear,
                               eval_radial, lq_norm_on_grid,
                               predicted_dilation_slope)
+from closed_form import interval_pair
 from oracles import translation_covariance_defect
 
 
@@ -39,6 +40,30 @@ def test_bilinear_closed_form_instance():
     exact = (32.0 / 3.0) * (math.sqrt(2) - 1)  # iterated antiderivative
     assert est.value == pytest.approx(exact, rel=1e-2)
     assert est.abs_error < 0.05 * exact
+
+
+def test_interval_closed_form_reproduces_the_ball_pair_value():
+    """The 1+1 closed form at x = 0, λ = 1/2 is the criterion-4 value
+    4.4183 and the iterated antiderivative above."""
+    assert interval_pair(0.0, 0.5) == pytest.approx(4.4183, abs=5e-5)
+    assert interval_pair(0.0, 0.5) == pytest.approx(
+        (32.0 / 3.0) * (math.sqrt(2) - 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("lam, rel", [(Fraction(1, 2), 1e-5),
+                                      (Fraction(1), 1e-3)])
+def test_error_bars_cover_the_interval_closed_form(lam, rel):
+    """Unit-interval inputs on the default 65-point grid with the
+    default quadrature: every error bar covers the true error against
+    the closed form, and the relative error is below `rel`.  At
+    λ >= 3/2 the bars still miss where the singular point (x, x) lies
+    in the support."""
+    cfg = make_config(1, 1, 1, [[1]], [[1]], 2, 2, 2, lam)
+    for x in GridSpec().points(1)[:, 0]:
+        est = eval_bilinear(cfg, ball(), ball(), [x])
+        exact = interval_pair(float(x), float(lam))
+        assert abs(est.value - exact) <= est.abs_error, x
+        assert abs(est.value - exact) < rel * abs(exact), x
 
 
 def test_linear_closed_form_instance():
