@@ -304,18 +304,23 @@ def sweep_verdicts(sig: tuple, divisor: int):
     in lexicographic order, at the homogeneous order λ*.
 
     On the lattice λ* = (n1·(N − i) + n2·(N − j) + m·k) / N is affine in
-    (i, j, k), so every comparison `decide` makes is the sign of one of
-    14 integer forms: i, 2i − N, i − N and the same in j; i + j − N and
-    i − j; k, k − i, k − j and k − i − j; the numerator of λ* against 0
-    and against (n1 + n2)·N.  The verdict is constant on each class of
-    equal signs, so `decide` runs once per class, on its first row.  The
-    forms restate `decide`'s comparisons; keep the two in step.  A
+    (i, j, k), so every comparison `decide` makes is fixed by the signs
+    of 10 integer forms: i and i − N, j and j − N, i + j − N, k, k − i,
+    k − j, k − i − j, and the numerator of λ* against (n1 + n2)·N.  The
+    verdict is constant on each class of equal signs, so `decide` runs
+    once per class, on its first row.  Four comparisons need no form of
+    their own:
+    - 1/p against 1/2 (2i − N, 2j − N) is read only in 4d(iv), where
+      i = j, and there 2i − N = i + j − N;
+    - i − j matters only at k = min(i, j), where k − i and k − j give it;
+    - λ* > 0 fails only at (N, N, 0), which i − N, j − N and k isolate.
+    The forms restate `decide`'s comparisons; keep the two in step.  A
     HypothesisError labels its row (False, its clause).
     """
     n1, n2, m = sig[:3]
     N = divisor
     top = (n1 + n2) * N
-    # sign[v] is the sign of v for every |v| <= R, which bounds all 14
+    # sign[v] is the sign of v for every |v| <= R, which bounds all 10
     # forms; negative v index from the end
     R = (n1 + n2 + m) * N
     sign = (0,) + (1,) * R + (-1,) * R
@@ -323,13 +328,12 @@ def sweep_verdicts(sig: tuple, divisor: int):
     for i in range(N + 1):
         for j in range(N + 1):
             lam_ij = n1 * (N - i) + n2 * (N - j)
-            signs_ij = (sign[i], sign[2 * i - N], sign[i - N],
-                        sign[j], sign[2 * j - N], sign[j - N],
-                        sign[i + j - N], sign[i - j])
+            signs_ij = (sign[i], sign[i - N], sign[j], sign[j - N],
+                        sign[i + j - N])
             for k in range(N + 1):
                 lam_num = lam_ij + m * k
                 key = (signs_ij, sign[k], sign[k - i], sign[k - j],
-                       sign[k - i - j], sign[lam_num], sign[lam_num - top])
+                       sign[k - i - j], sign[lam_num - top])
                 label = by_class.get(key)
                 if label is None:
                     label = by_class[key] = _sweep_label(sig, i, j, k,

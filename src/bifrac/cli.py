@@ -110,14 +110,17 @@ def _bilinear_config(cfg: dict):
 
 def _fits_float(key: str, value):
     """value, refused naming key when it, or an entry of it, is too
-    large for a float: the numeric modes compute in floats."""
+    large for a float or nonzero and too small for one: the numeric modes
+    compute in floats."""
     entries = value.entries if isinstance(value, RationalMatrix) else (value,)
-    try:
-        for v in entries:
-            float(v)
-    except OverflowError:
-        raise ConfigError(f"{key}: too large for the numeric modes") \
-            from None
+    for v in entries:
+        try:
+            rounded = float(v)
+        except OverflowError:
+            raise ConfigError(f"{key}: too large for the numeric modes") \
+                from None
+        if rounded == 0 and v != 0:
+            raise ConfigError(f"{key}: too small for the numeric modes")
     return value
 
 

@@ -13,32 +13,53 @@ when 0 < lam < sum_b n_b, or 0 < lam when offset > 0; any other order
 raises NonIntegrableError.
 
 One adaptive-dyadic scheme integrates this singular integrand over the
-box and returns a value with an error estimate.  The integrand takes
-one point array per block, each of shape (..., n_b); their leading
-shapes broadcast against each other and the integrand returns values
-of the broadcast shape.  So a factor that depends on one block, an
-input or a block distance, is computed once per distinct block
-coordinate, and only the product of the factors and the kernel power
-run on every point.
+box and returns a value with an error estimate.  A factor that depends
+on one block, an input or a block distance, is computed once per
+distinct block coordinate, and only the product of the factors and the
+kernel power run on every point.
 
-One builder, `_dyadic_cells`, makes every partition: uniform dyadic
-splits to a base depth, then only boxes whose own-width neighborhood
-holds a target point keep splitting.  Targets are of two kinds.  In
-dimension <= 2 the partition is a tensor product of 1-d partitions
-whose targets are the singular coordinate and the input descriptors'
-breaks on that axis (bump edges, power-law origins), so a bump that
-is narrow in one coordinate but extended in the others is still
-resolved; the product is never formed, each axis's leaves lie along
-their own array axis.  In higher dimension one d-dimensional partition
-has the singular point as its only target, and cells near it split
-into 2^d children.  Both depths come from `QuadratureSpec.depths(d)`:
-a depth the spec leaves unset takes the default for the integration
-dimension d, and the base depth is capped at the maximum.  Every leaf
-gets a centroid value plus one 2^d-subcell refinement pass, whose
-corners are the product of each block's 2^n_b corners; the reported
-value is the Richardson combination and the error estimate is the
-coarse/fine discrepancy.  A centroid that lands exactly on the
-singular point contributes 0 (measure zero).
+Two partition layouts are chosen by the integration dimension d.  In
+d <= 2 the partition is a tensor product of 1-d partitions made by
+`_dyadic_cells`: uniform dyadic splits to a base depth, then only
+intervals whose own-width neighborhood holds a target keep splitting.
+The targets are the singular coordinate and the input descriptors'
+breaks on that axis (bump edges, power-law origins), so a bump that is
+narrow in one coordinate but extended in the others is still resolved;
+the product is never formed, each axis's leaves lie along their own
+array axis of the integrand's (..., n_b) block arrays (`_leaf_sum`).
+In higher dimension one d-dimensional partition has the singular point
+as its only target: the base lattice is uniform, and a cell splits into
+2^d children when it lies within its own width of the singular point
+on every axis.  So each level is a product of 1-d interval sets
+(`_axis_levels`) less the product of their split subsets, and
+`_descend` walks it in Morton order, the order in which lexicographic
+children make it.
+
+The d > 2 layout evaluates all points of one call together
+(`_shared_sums`).  Points whose singular points sit alike on the base
+lattice, with the same exact (rational) offset from the first lattice
+interval that splits and as many split intervals on every axis, form a
+class: the refined cores below their split lattice cells are translates
+of one another by whole lattice cells.  A class builds its core once,
+with the tables of its distinct block coordinates (per level, the
+products of the axis centroids and of the axis subcell corners) and the
+kernel at them; each point evaluates its inputs on the tables shifted
+by its own lattice offset and adds its own lattice cells.  Sharing needs
+exact translates, which the lattice has when the truncation radius has
+few significant bits (a power of two, say); otherwise each point is a
+class of its own, as a single point always is.  Each point sums its
+leaves in the order of its lone evaluation, level by level and Morton
+order within a level, with each leaf's arithmetic unchanged, so its
+value and error estimate are those of the point alone, bit for bit.
+
+Both depths come from `QuadratureSpec.depths(d)`: a depth the spec
+leaves unset takes the default for the integration dimension d, and the
+base depth is capped at the maximum.  Every leaf gets a centroid value
+plus one 2^d-subcell refinement pass, whose corners are the product of
+each block's 2^n_b corners; the reported value is the Richardson
+combination and the error estimate is the coarse/fine discrepancy.  A
+centroid that lands exactly on the singular point contributes 0
+(measure zero).
 
 All evaluations are pure functions of (descriptors, spec); grid-point
 results keep the order of the points, so concurrent execution is
@@ -46,10 +67,13 @@ bit-reproducible."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,8 +166,8 @@ def _leaf_sum(func: Callable[..., np.ndarray],
               factors: Sequence[Tuple[np.ndarray, np.ndarray]],
               blocks: Sequence[int]) -> Tuple[float, float]:
     """Centroid value plus one 2^d refinement pass over the leaves of a
-    factored partition; Richardson-combined value with the coarse/fine
-    discrepancy as the error estimate.
+    factored partition in dimension d <= 2; Richardson-combined value
+    with the coarse/fine discrepancy as the error estimate.
 
     `factors` are (lo, hi) leaf arrays, each (k, d_f) over the next d_f
     coordinates, whose product (factor 0 slowest) is the partition.
@@ -151,9 +175,9 @@ def _leaf_sum(func: Callable[..., np.ndarray],
     and each factor's leaves along a trailing one, so func, which takes
     one (..., n_b) array per block of `blocks`, sees each block
     coordinate once.  The corners keep the lexicographic order of one
-    d-dimensional corner set and each leaf's mean adds them as numpy
-    sums one contiguous row, so per-leaf values do not depend on the
-    factoring.
+    d-dimensional corner set and each leaf's mean adds them one by one,
+    as numpy sums a contiguous row of fewer than 8, so per-leaf values
+    do not depend on the factoring.
     Factor 0 is evaluated in chunks of at most _CHUNK_POINTS integrand
     points, which bounds memory and does not change the values."""
     nb = len(blocks)
@@ -190,15 +214,9 @@ def _leaf_sum(func: Callable[..., np.ndarray],
             sub.append(np.stack(np.broadcast_arrays(*points), axis=-1))
             start += n
         coarse.append(func(*centre).reshape(-1) * vol)
-        values = func(*sub).reshape(corners, -1)
-        if corners < 8:
-            # numpy adds fewer than 8 terms one by one along any axis, so
-            # the corner axis gives the row mean without a transpose
-            mean = values.mean(axis=0)
-        else:
-            # from 8 terms on a contiguous row is summed pairwise
-            mean = np.ascontiguousarray(values.T).mean(axis=1)
-        fine.append(mean * vol)
+        # numpy adds fewer than 8 terms (d <= 2 here) one by one along
+        # any axis, so the corner axis gives the row mean of one corner set
+        fine.append(func(*sub).reshape(corners, -1).mean(axis=0) * vol)
     coarse, fine = np.concatenate(coarse), np.concatenate(fine)
     value = float(np.sum(fine + (fine - coarse) / 3.0))
     err = float(np.sum(np.abs(fine - coarse)))
@@ -241,22 +259,307 @@ def _dyadic_cells(lo, hi, targets, base_depth: int,
     return np.concatenate(leaves_lo), np.concatenate(leaves_hi)
 
 
+def _kernel(dists, lam: float, offset: float) -> np.ndarray:
+    """(offset + sum of the block distances)^-lam, 0 where the base is 0
+    (the singular point, of measure zero)."""
+    base = sum(dists, offset)
+    zero = base <= 0
+    with np.errstate(divide="ignore"):
+        base **= -lam
+    base[zero] = 0.0
+    return base
+
+
+def _bits(n: int) -> np.ndarray:
+    """The 2^n corners of the unit n-cube, (2^n, n), lexicographic."""
+    return np.array(list(itertools.product((0, 1), repeat=n)))
+
+
+def _morton(d: int, depth: int) -> np.ndarray:
+    """Integer coordinates of the 2^(d depth) cells of a uniform dyadic
+    lattice in the order `_dyadic_cells` makes them (Morton order)."""
+    cells = np.zeros((1, d), dtype=np.intp)
+    for _ in range(depth):
+        cells = (2 * cells[:, None, :] + _bits(d)).reshape(-1, d)
+    return cells
+
+
+def _near(c, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether c lies in the own-width neighbourhood of each interval
+    [lo, hi], the split rule of `_dyadic_cells` on one axis."""
+    width = hi - lo
+    return (c >= lo - width) & (c <= hi + width)
+
+
+def _axis_levels(c: float, lo: np.ndarray, hi: np.ndarray,
+                 levels: int) -> List[Tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]]:
+    """One axis of the partition in dimension > 2, refined toward c: for
+    each of `levels` levels from the lattice (lo, hi) on, the intervals
+    there and which of them split, those whose own-width neighbourhood
+    holds c (none at the last level).  Each level holds the halves of the
+    previous level's split intervals."""
+    out = []
+    for level in range(levels):
+        split = (_near(c, lo, hi) if level < levels - 1
+                 else np.zeros(len(lo), dtype=bool))
+        out.append((lo, hi, split))
+        slo, shi = lo[split], hi[split]
+        mid = 0.5 * (slo + shi)
+        lo, hi = np.repeat(slo, 2), np.repeat(shi, 2)
+        lo[1::2] = hi[::2] = mid
+    return out
+
+
+def _descend(axes, cells: np.ndarray):
+    """Leaves of the partition below `cells`, (k, d) interval indices at
+    the first level of `axes` in Morton order.  A cell splits when its
+    interval splits on every axis, into 2^d children in lexicographic
+    order, so each level's cells stay in Morton order.  Returns, per
+    level, the leaves' interval indices and the row of `cells` each one
+    lies in."""
+    d = cells.shape[1]
+    bits = _bits(d)
+    roots = np.arange(len(cells))
+    out = []
+    for level in range(len(axes[0])):
+        flags = [axis[level][2] for axis in axes]
+        split = np.logical_and.reduce([f[cells[:, i]]
+                                       for i, f in enumerate(flags)])
+        out.append((cells[~split], roots[~split]))
+        rank = np.stack([np.cumsum(f)[cells[split, i]] - 1
+                         for i, f in enumerate(flags)], axis=-1)
+        cells = (2 * rank[:, None, :] + bits).reshape(-1, d)
+        roots = np.repeat(roots[split], len(bits))
+    return out
+
+
+def _grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The product of 1-d arrays, the last axis fastest, coordinate by
+    coordinate: (len(axes), k)."""
+    out = np.empty([len(axes)] + [len(a) for a in axes])
+    for i, a in enumerate(axes):
+        out[i] = a.reshape([-1 if j == i else 1 for j in range(len(axes))])
+    return out.reshape(len(axes), -1)
+
+
+def _tables(axes, blocks: Sequence[int], levels: Sequence[int]):
+    """Block coordinates of the cells of `levels`: per block one (k, n_b)
+    array holding, level by level, the centroids and then the subcell
+    corners of the product of that level's axis intervals; and per block
+    and level the offsets and shape that index them.  Each array is the
+    transpose of a contiguous (n_b, k) one, so sums over a point's
+    coordinates run along long rows; numpy adds fewer than 8 terms one
+    by one along any axis, so they give the bits of a contiguous
+    array."""
+    quarter = np.array([0.25, 0.75])
+    coords = [[] for _ in blocks]
+    index = [[] for _ in blocks]
+    for level in levels:
+        start = 0
+        for b, n in enumerate(blocks):
+            ax = [axis[level] for axis in axes[start:start + n]]
+            mids = [(lo + hi) / 2.0 for lo, hi, _ in ax]
+            corners = [(lo[:, None] + quarter * (hi - lo)[:, None]).ravel()
+                       for lo, hi, _ in ax]
+            size = sum(c.shape[1] for c in coords[b])
+            index[b].append((size, size + math.prod(len(m) for m in mids),
+                             tuple(len(m) for m in mids)))
+            coords[b] += [_grid(mids), _grid(corners)]
+            start += n
+    return [np.concatenate(c, axis=1).T for c in coords], index
+
+
+def _geometry(axes, level: int, cells: np.ndarray, index,
+              blocks: Sequence[int]):
+    """Per block, the table rows of the centroid (k,) and of the 2^n_b
+    subcell corners (k, 2^n_b) of each cell of `cells` at `level`, and
+    the cells' volumes."""
+    cent, corn = [], []
+    start = 0
+    for b, n in enumerate(blocks):
+        first, second, shape = index[b]
+        k = cells[:, start:start + n]
+        # row-major strides of the centroid and the corner tables
+        strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+        twice = strides * 2 ** np.arange(n - 1, -1, -1)
+        cent.append(first + k @ strides)
+        corn.append((second + (2 * k) @ twice)[:, None] + _bits(n) @ twice)
+        start += n
+    widths = np.stack([(hi - lo)[cells[:, i]] for i, (lo, hi, _)
+                       in enumerate(axis[level] for axis in axes)], axis=1)
+    return cent, corn, np.prod(widths, axis=1)
+
+
+def _spread(parts: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Each (k, c_b) array of `parts` with its c_b along its own axis of
+    a (k, c_0, c_1, ...) broadcast."""
+    return [p.reshape((len(p),) + tuple(p.shape[1] if a == b else 1
+                                        for a in range(len(parts))))
+            for b, p in enumerate(parts)]
+
+
+def _kernels(geometry, dists, lam: float, offset: float):
+    """The kernel at the centroids (k,) and at the subcell corners
+    (k, 2^d) of the cells of `geometry`, from per-block table distances."""
+    cent, corn, vol = geometry
+    coarse = _kernel([r[i] for r, i in zip(dists, cent)], lam, offset)
+    fine = _kernel(_spread([r[i] for r, i in zip(dists, corn)]), lam, offset)
+    return coarse, fine.reshape(len(vol), -1)
+
+
+def _leaf_values(geometry, kernels, inputs):
+    """Centroid and refined (subcell-corner mean) values, times volume,
+    of the cells of `geometry`, from per-block table input values."""
+    cent, corn, vol = geometry
+    kc, kf = kernels
+    coarse = kc * math.prod(f[i] for f, i in zip(inputs, cent)) * vol
+    corners = math.prod(_spread([f[i] for f, i in zip(inputs, corn)]))
+    fine = (kf * corners.reshape(len(vol), -1)).mean(axis=1) * vol
+    return coarse, fine
+
+
+def _exact_lattice(half: float, top: int) -> bool:
+    """Whether every partition coordinate down to a quarter of the finest
+    width, and one width past the box, is a float exactly; then a
+    lattice translate of a partition is exact too."""
+    num = Fraction(half).numerator
+    odd = num // (num & -num)
+    return (odd.bit_length() + top + 4 <= 53
+            and math.ldexp(half, -top - 3) >= sys.float_info.min
+            and math.isfinite(4.0 * half))
+
+
+def _shared_sums(inputs, centres: np.ndarray, blocks: Sequence[int],
+                 lam: float, offset: float, quad: QuadratureSpec, run):
+    """Values and error estimates at each row of `centres` (P, d), d > 2,
+    with the points grouped into classes that share one refined core
+    (see the module docstring)."""
+    points, d = centres.shape
+    half = quad.truncation_radius
+    base, top = quad.depths(d)
+    levels = top - base + 1
+    lo, hi = (a[:, 0] for a in _dyadic_cells([-half], [half], (), base,
+                                            base))
+    # which lattice intervals split, per point and axis, and the first
+    split = (_near(centres[..., None], lo, hi) if levels > 1
+             else np.zeros(centres.shape + lo.shape, dtype=bool))
+    first = np.argmax(split, axis=2)
+    lattice = _morton(d, base)
+    morton = np.empty(len(lattice), dtype=np.intp)
+    morton[np.ravel_multi_index(tuple(lattice.T), (len(lo),) * d)] = \
+        np.arange(len(lattice))
+    lattice_axes = [[(lo, hi, None)]] * d
+    lattice_coords, lattice_index = _tables(lattice_axes, blocks, [0])
+    lattice_inputs = [f.values(t) for f, t in zip(inputs, lattice_coords)]
+    step = max(1, _CHUNK_POINTS // 2 ** d)
+
+    def blockwise(row):
+        return np.split(row, np.cumsum(blocks)[:-1])
+
+    def distances(coords, c):
+        return [np.linalg.norm(x - t, axis=-1)
+                for x, t in zip(blockwise(c), coords)]
+
+    def splits(p):
+        return np.logical_and.reduce([split[p, i][lattice[:, i]]
+                                      for i in range(d)])
+
+    def leaves(axes, level, cells, index, dists, tabled, each=map):
+        """Per point of `tabled`, the centroid and refined values of
+        `cells` at `level`, chunk by chunk, with the kernel from `dists`
+        shared and the point's own inputs; `index` locates each block's
+        level in the tables, and `each` maps over the points."""
+        out = {p: [] for p in tabled}
+        for k in range(0, len(cells), step):
+            geom = _geometry(axes, level, cells[k:k + step], index, blocks)
+            kern = _kernels(geom, dists, lam, offset)
+
+            def fill(p):
+                out[p].append(_leaf_values(geom, kern, tabled[p]))
+            list(each(fill, tabled))
+        return out
+
+    exact = _exact_lattice(half, top)
+    classes = {}
+    for p in range(points):
+        key = tuple((Fraction(c) - Fraction(lo[j]), int(n)) if n else None
+                    for c, j, n in zip(centres[p], first[p],
+                                       split[p].sum(axis=1)))
+        classes.setdefault(key if exact else p, []).append(p)
+
+    values, errs = np.empty(points), np.empty(points)
+    for members in classes.values():
+        rep = members[0]
+        # the core: the cells below the split lattice cells (its roots),
+        # level by level and root by root in the representative's order
+        axes = [_axis_levels(c, lo, hi, levels) for c in centres[rep]]
+        roots = lattice[splits(rep)]
+        tree = _descend(axes, roots)[1:]
+        coords, index = _tables(axes, blocks, range(1, levels))
+        dists = distances(coords, centres[rep])
+        tabled = {p: [f.values(t + s) for f, t, s in zip(
+            inputs, coords, blockwise(lo[first[p]] - lo[first[rep]]))]
+            for p in members}
+        core = {p: [] for p in members}
+        for level, (cells, _) in enumerate(tree, start=1):
+            for p, parts in leaves(axes, level, cells,
+                                   [ix[level - 1] for ix in index], dists,
+                                   tabled, run).items():
+                core[p] += parts
+        counts = np.array([np.bincount(r, minlength=len(roots))
+                           for _, r in tree]).reshape(len(tree), len(roots))
+        starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+
+        def finish(p):
+            parts = leaves(lattice_axes, 0, lattice[~splits(p)],
+                           [ix[0] for ix in lattice_index],
+                           distances(lattice_coords, centres[p]),
+                           {p: lattice_inputs})[p]
+            own = [np.concatenate([part[i] for part in core[p]]
+                                  + [np.empty(0)]) for i in (0, 1)]
+            if p != rep:
+                # the point takes the core's roots in its own Morton order
+                rank = np.argsort(morton[np.ravel_multi_index(
+                    tuple((roots - first[rep] + first[p]).T),
+                    (len(lo),) * d)], kind="stable")
+                n = counts[:, rank].ravel()
+                order = np.repeat(starts[:, rank].ravel() - np.cumsum(n) + n,
+                                  n) + np.arange(n.sum())
+                own = [a[order] for a in own]
+            coarse = np.concatenate([c for c, _ in parts] + own[:1])
+            fine = np.concatenate([f for _, f in parts] + own[1:])
+            return (float(np.sum(fine + (fine - coarse) / 3.0)),
+                    float(np.sum(np.abs(fine - coarse))))
+        for p, (v, e) in zip(members, run(finish, members)):
+            values[p], errs[p] = v, e
+    return values, errs
+
+
 def _partition(singular: np.ndarray, breaks: List[List[float]],
                quad: QuadratureSpec) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Factors of the adaptive partition of the truncation box, for
-    `_leaf_sum`.
+    """Factors of the adaptive partition of the truncation box.
 
     In dimension <= 2 one 1-d partition per axis, each refined toward
     the singular coordinate and that axis's breaks, whose product is
-    the partition; in higher dimension one partition refined toward the
-    singular point.
+    the partition `_leaf_sum` evaluates; in higher dimension one factor,
+    the leaves of the partition refined toward the singular point that
+    `_shared_sums` evaluates, level by level in Morton order.
     """
     d = singular.size
     half = quad.truncation_radius
     base, top = quad.depths(d)
     if d > 2:
-        return [_dyadic_cells(np.full(d, -half), np.full(d, half), singular,
-                              base, top)]
+        lo, hi = (a[:, 0] for a in _dyadic_cells([-half], [half], (), base,
+                                                base))
+        axes = [_axis_levels(s, lo, hi, top - base + 1) for s in singular]
+        leaves = [[np.stack([axis[level][side][cells[:, i]]
+                             for i, axis in enumerate(axes)], axis=1)
+                   for side in (0, 1)]
+                  for level, (cells, _) in
+                  enumerate(_descend(axes, _morton(d, base)))]
+        return [(np.concatenate([lo for lo, _ in leaves]),
+                 np.concatenate([hi for _, hi in leaves]))]
     axes = {}   # axes with the same targets share one partition
     for s, b in zip(singular, breaks):
         key = (s, *b)
@@ -266,13 +569,17 @@ def _partition(singular: np.ndarray, breaks: List[List[float]],
 
 
 def _evaluate(inputs: Sequence[TestFunction], centres: Sequence[np.ndarray],
-              lam, quad: QuadratureSpec, offset: float = 0.0) -> NormEstimate:
+              lam, quad: QuadratureSpec, offset: float = 0.0,
+              workers: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Integral of prod_b f_b(y_b) (offset + sum_b |c_b - y_b|)^-lam over
-    the truncation box, for one input f_b and centre c_b per coordinate
-    block.  Refuses an input whose dim is not its block's size, and a
-    kernel order outside (0, sum_b n_b), or outside (0, inf) when
-    offset > 0; the kernel is 0 at the singular point."""
-    blocks = [c.size for c in centres]
+    the truncation box, for one input f_b per coordinate block and one
+    (P, n_b) array of centres c_b per block, a row per point; returns the
+    values and the error estimates, in point order.  Refuses an input
+    whose dim is not its block's size, and a kernel order outside
+    (0, sum_b n_b), or outside (0, inf) when offset > 0; the kernel is 0
+    at the singular point.  `workers` > 1 spreads the points over that
+    many threads, with the same results."""
+    blocks = [c.shape[1] for c in centres]
     for f, n in zip(inputs, blocks):
         if f.dim != n:
             raise BifracError(f"input of dim {f.dim} on a block of dim {n}")
@@ -281,24 +588,32 @@ def _evaluate(inputs: Sequence[TestFunction], centres: Sequence[np.ndarray],
         raise NonIntegrableError(f"kernel order {lam} is outside (0, {top}),"
                                  f" not locally integrable in R^{sum(blocks)}")
     lam = float(lam)
+    with (ThreadPoolExecutor(max_workers=workers) if workers and workers > 1
+          else contextlib.nullcontext()) as pool:
+        run = pool.map if pool else map
+        if sum(blocks) > 2:
+            return _shared_sums(inputs, np.concatenate(centres, axis=1),
+                                blocks, lam, offset, quad, run)
+        breaks = [axis for f in inputs for axis in f.breaks()]
 
-    def integrand(*ys):
-        # the offset plus each block distance in turn, then the power and
-        # the inputs' product in place: the one full-size array
-        base = sum((np.linalg.norm(c - y, axis=-1)
-                    for c, y in zip(centres, ys)), offset)
-        zero = base <= 0    # the singular point, of measure zero
-        with np.errstate(divide="ignore"):
-            base **= -lam
-        base[zero] = 0.0
-        base *= math.prod(f.values(y) for f, y in zip(inputs, ys))
-        return base
+        def point(row):
+            def integrand(*ys):
+                base = _kernel([np.linalg.norm(c - y, axis=-1)
+                                for c, y in zip(row, ys)], lam, offset)
+                base *= math.prod(f.values(y) for f, y in zip(inputs, ys))
+                return base
+            return _leaf_sum(integrand,
+                             _partition(np.concatenate(row), breaks, quad),
+                             blocks)
+        sums = list(run(point, zip(*centres)))
+    return (np.array([v for v, _ in sums], dtype=float),
+            np.array([e for _, e in sums], dtype=float))
 
-    breaks = [axis for f in inputs for axis in f.breaks()]
-    value, err = _leaf_sum(integrand,
-                           _partition(np.concatenate(centres), breaks, quad),
-                           blocks)
-    return NormEstimate(value, err, "quadrature")
+
+def _estimate(values: Tuple[np.ndarray, np.ndarray]) -> NormEstimate:
+    """The one point's estimate of an `_evaluate` result."""
+    return NormEstimate(float(values[0][0]), float(values[1][0]),
+                        "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +626,8 @@ def eval_bilinear(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
     (|D1 x - y1| + |D2 x - y2|)^-lam over the truncation box."""
     x = np.asarray(x, dtype=float).reshape(cfg.m)
     centres = (cfg.D1.to_float() @ x, cfg.D2.to_float() @ x)
-    return _evaluate((f1, f2), centres, cfg.lam, quad)
+    return _estimate(_evaluate((f1, f2), [c[None] for c in centres], cfg.lam,
+                               quad))
 
 
 def eval_linear(n: int, m: int, D: RationalMatrix, lam, f: TestFunction,
@@ -320,15 +636,15 @@ def eval_linear(n: int, m: int, D: RationalMatrix, lam, f: TestFunction,
     an n x m matrix D."""
     check_shape("D", D, n, m)
     x = np.asarray(x, dtype=float).reshape(m)
-    return _evaluate((f,), (D.to_float() @ x,), lam, quad)
+    return _estimate(_evaluate((f,), ((D.to_float() @ x)[None],), lam, quad))
 
 
 def eval_radial(n: int, m: int, lam, f: TestFunction, x,
                 quad: QuadratureSpec = QuadratureSpec()) -> NormEstimate:
     """Radial operator: integral of f(y) (|x| + |y|)^-lam."""
     x = np.asarray(x, dtype=float).reshape(m)
-    return _evaluate((f,), (np.zeros(n),), lam, quad,
-                     offset=float(np.linalg.norm(x)))
+    return _estimate(_evaluate((f,), (np.zeros((1, n)),), lam, quad,
+                               offset=float(np.linalg.norm(x))))
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +653,9 @@ def eval_radial(n: int, m: int, lam, f: TestFunction, x,
 
 def _pointwise_values(cfg, f1, f2, xs, quad, workers=None):
     """Operator values and error estimates at each grid point, in order."""
-    def run(x):
-        return eval_bilinear(cfg, f1, f2, x, quad)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ests = list(pool.map(run, xs))
-    else:
-        ests = list(map(run, xs))
-    return (np.array([e.value for e in ests]),
-            np.array([e.abs_error for e in ests]))
+    matrices = (cfg.D1.to_float(), cfg.D2.to_float())
+    centres = [np.array([D @ x for x in xs]) for D in matrices]
+    return _evaluate((f1, f2), centres, cfg.lam, quad, workers=workers)
 
 
 def lq_norm_on_grid(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,

@@ -106,6 +106,7 @@ def test_sweep_rejects_shape_mismatch(tmp_path, capsys):
 BILINEAR = dict(BASE, p1="2", p2="2", q="2")
 NAN, INF = float("nan"), float("inf")
 HUGE = "1" + "0" * 400  # an exponent no float can hold
+TINY = "1/" + HUGE      # a nonzero rational that rounds to 0.0
 GAUSSIANS = {"f1": {"tag": "gaussian", "dim": 1},
              "f2": {"tag": "gaussian", "dim": 1}}
 LINEAR = {"operator": "linear", "n": 1, "m": 1, "D": [[1]],
@@ -294,6 +295,13 @@ def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
     ("norm", dict(LINEAR, D=[[HUGE]]), "D: too large for the numeric modes"),
     ("norm", dict(RADIAL, **{"lambda": HUGE}),
      "lambda: too large for the numeric modes"),
+    ("probe", dict(BILINEAR, p1=TINY, q="4", **{"lambda": "7/4"},
+                   witnesses=GAUSSIANS),
+     "p1: too small for the numeric modes"),
+    ("norm", dict(RADIAL, **{"lambda": TINY}),
+     "lambda: too small for the numeric modes"),
+    ("norm", dict(BILINEAR, D1=[[TINY]], **{"lambda": "3/2"}, x=[0.5],
+                  witnesses=GAUSSIANS), "D1: too small for the numeric modes"),
 ])
 def test_config_errors_name_their_cause(tmp_path, capsys, mode, cfg,
                                         message):
@@ -341,6 +349,28 @@ def test_exact_modes_do_not_import_scipy(tmp_path):
               "import bifrac.cli\n"
               f"code = bifrac.cli.main(['--config', {path!r}, "
               "'--mode', 'classify'])\n"
+              "print(code, sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_grid_norm_does_not_import_scipy(tmp_path):
+    """The d > 2 grid evaluation needs no scipy either: `norm` of 2+2
+    Gaussians on a 3x3 grid leaves it unimported."""
+    eye = [[1, 0], [0, 1]]
+    gauss = {"tag": "gaussian", "dim": 2}
+    path = write_config(tmp_path, {
+        "n1": 2, "n2": 2, "m": 2, "D1": eye, "D2": eye, "p1": "2",
+        "p2": "2", "q": "2", "lambda": "3",
+        "witnesses": {"f1": gauss, "f2": gauss},
+        "grid": {"points_per_axis": 3}, "quad": {"max_depth": 5}})
+    script = ("import sys\n"
+              "import bifrac.cli\n"
+              f"code = bifrac.cli.main(['--config', {path!r}, "
+              "'--mode', 'norm'])\n"
               "print(code, sorted(m for m in sys.modules "
               "if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", script],

@@ -3,16 +3,17 @@ identities and probe behavior."""
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bifrac.classifier import make_config
+from bifrac.classifier import Clause, make_config
 from bifrac.functions import (Constant, Gaussian, IndicatorBall,
                               MollifiedDelta, PowerLog, SplitPowerLog, dilate,
-                              translate)
+                              translate, witness_for)
 from bifrac import operators
 from bifrac.matrices import RationalMatrix
 from bifrac.operators import (GridSpec, NonIntegrableError, QuadratureSpec,
@@ -372,6 +373,9 @@ FACTORED_BANK = {
                             [0.2, -0.1]),
     "radial-2-constant": radial_case(2, Fraction(3), Constant(dim=2),
                                      [0.7]),
+    "linear-3": linear_case(3, Fraction(2), Gaussian(dim=3),
+                            [0.3, -0.2, 0.1]),
+    "radial-3": radial_case(3, Fraction(2), Gaussian(dim=3), [0.4]),
 }
 
 
@@ -390,6 +394,105 @@ def test_factored_leaf_sum_matches_pointwise(monkeypatch, case,
     est = factored()
     assert math.isfinite(est.value) and est.value != 0
     assert (est.value, est.abs_error) == pointwise()
+
+
+def grid_values(monkeypatch, cfg, f1, f2, grid, quad, workers=None):
+    """The per-point values and error estimates `lq_norm_on_grid` forms
+    its norm from."""
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(pointwise_values(*args, **kwargs))
+        return seen[-1]
+
+    pointwise_values = operators._pointwise_values
+    monkeypatch.setattr(operators, "_pointwise_values", record)
+    lq_norm_on_grid(cfg, f1, f2, grid, quad, workers=workers)
+    monkeypatch.setattr(operators, "_pointwise_values", pointwise_values)
+    return seen[0]
+
+
+FOURTH_D = make_config(2, 2, 2, [[1, 0], [0, 0]], [[0, 0], [0, 1]],
+                       "4/3", "4/3", 1, 3)
+THIRDS = make_config(2, 2, 2, [["1/3", 0], [0, 1]], [[1, "1/3"], [0, 1]],
+                     2, 2, 2, 3)
+COLUMN3 = [[1], ["1/3"], ["1/5"]]
+G1, G2, G3 = (Gaussian(dim=n) for n in (1, 2, 3))
+
+GRID_BANK = {
+    "2+2-5x5": (EYE2, G2, G2, GridSpec(points_per_axis=5), QuadratureSpec()),
+    "2+2-9x9-spacing-1/8": (EYE2, G2, G2,
+                            GridSpec(half_width=0.5, points_per_axis=9),
+                            QuadratureSpec(base_depth=2, max_depth=6)),
+    "2+2-thirds": (THIRDS, G2, G2, GridSpec(half_width=3.0,
+                                            points_per_axis=7),
+                   QuadratureSpec(base_depth=2, max_depth=5)),
+    "2+2-outside-the-box": (EYE2, G2, G2, GridSpec(half_width=3.0,
+                                                   points_per_axis=5),
+                            QuadratureSpec(truncation_radius=2.0,
+                                           max_depth=6)),
+    # lattice width 0.825 = 2 * 3.3 / 8: translates are not exact, so
+    # every point is its own class
+    "2+2-inexact-lattice": (EYE2, G2, G2,
+                            GridSpec(half_width=1.65, points_per_axis=5),
+                            QuadratureSpec(truncation_radius=3.3,
+                                           max_depth=5)),
+    "2+2-base-0": (EYE2, G2, G2, GridSpec(points_per_axis=5),
+                   QuadratureSpec(base_depth=0, max_depth=5)),
+    "2+2-base-1": (EYE2, G2, G2, GridSpec(points_per_axis=5),
+                   QuadratureSpec(base_depth=1, max_depth=5)),
+    "2+1": (make_config(2, 1, 2, [[1, 0], [0, 1]], [[1, 1]], 2, 2, 2, 2),
+            G2, G1, GridSpec(points_per_axis=5), QuadratureSpec(max_depth=8)),
+    "3+3-chunked": (make_config(3, 3, 1, COLUMN3, COLUMN3, 2, 2, 2,
+                                Fraction(9, 2)),
+                    G3, G3, GridSpec(points_per_axis=3),
+                    QuadratureSpec(max_depth=3)),
+    "case-4d-power-log": (FOURTH_D,
+                          *witness_for(FOURTH_D, Clause.CASE_4D)[0],
+                          GridSpec(half_width=1.0, points_per_axis=5),
+                          QuadratureSpec(max_depth=5)),
+}
+
+
+@pytest.mark.parametrize("name", list(GRID_BANK))
+def test_grid_values_match_pointwise(monkeypatch, name):
+    """Grid points whose singular points sit alike on the base lattice
+    share one refined partition and its kernel values; every point's
+    value and error estimate is still the pointwise evaluation's bit for
+    bit (a "-chunked" case in chunks of 2^14 integrand points)."""
+    cfg, f1, f2, grid, quad = GRID_BANK[name]
+    if name.endswith("-chunked"):
+        monkeypatch.setattr(operators, "_CHUNK_POINTS", 1 << 14)
+    values, errors = grid_values(monkeypatch, cfg, f1, f2, grid, quad)
+    for x, value, error in zip(grid.points(cfg.m), values, errors):
+        _, pointwise = bilinear_case(cfg, f1, f2, x, quad)
+        assert (value, error) == pointwise(), x
+
+
+def test_grid_values_do_not_depend_on_workers(monkeypatch):
+    """Four threads, switching as often as the interpreter allows, give
+    the serial per-point values bit for bit."""
+    cfg, f1, f2, grid, quad = GRID_BANK["2+2-5x5"]
+    serial = grid_values(monkeypatch, cfg, f1, f2, grid, quad)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = grid_values(monkeypatch, cfg, f1, f2, grid, quad,
+                               workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+
+
+def test_grid_values_do_not_depend_on_chunks(monkeypatch):
+    """The 25 points of the 5x5 grid share one core; evaluating it in
+    chunks of 2^14 integrand points gives the per-point values of one
+    chunk per level bit for bit."""
+    cfg, f1, f2, grid, quad = GRID_BANK["2+2-5x5"]
+    whole = grid_values(monkeypatch, cfg, f1, f2, grid, quad)
+    monkeypatch.setattr(operators, "_CHUNK_POINTS", 1 << 14)
+    chunked = grid_values(monkeypatch, cfg, f1, f2, grid, quad)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
 
 # -- structural identities --------------------------------------------
