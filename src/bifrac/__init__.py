@@ -4,12 +4,10 @@ bilinear fractional integral operators."""
 from .exponents import (BifracError, ConjugateUndefinedError, Exponent,
                         conjugate, homogeneous_lambda, parse_rational)
 from .matrices import (JointNormalForm, RankDeficientStackError,
-                       RationalMatrix, SingleNormalForm, SingularMatrixError,
-                       invert, joint_normal_form, rank, signature,
-                       single_normal_form)
+                       RationalMatrix, SingleNormalForm, joint_normal_form,
+                       rank, signature, single_normal_form)
 from .classifier import (Clause, HypothesisError, OperatorConfig, Verdict,
-                         classify_bilinear, classify_linear, classify_radial,
-                         decide, make_config)
+                         classify_bilinear, decide, make_config)
 from .functions import (Constant, Dilated, DivergentNormError, Gaussian,
                         IndicatorBall, MollifiedDelta, NoWitnessError,
                         NormEstimate, PowerLog, SplitPowerLog, TestFunction,
@@ -24,14 +22,14 @@ __all__ = [
     # refusals
     "BifracError", "ConjugateUndefinedError", "DivergentNormError",
     "HypothesisError", "NoWitnessError", "NonIntegrableError",
-    "RankDeficientStackError", "SingularMatrixError",
+    "RankDeficientStackError",
     # exact exponents and matrices
     "Exponent", "conjugate", "homogeneous_lambda", "parse_rational",
-    "JointNormalForm", "RationalMatrix", "SingleNormalForm", "invert",
+    "JointNormalForm", "RationalMatrix", "SingleNormalForm",
     "joint_normal_form", "rank", "signature", "single_normal_form",
     # the decision procedure
-    "Clause", "OperatorConfig", "Verdict", "classify_bilinear",
-    "classify_linear", "classify_radial", "decide", "make_config",
+    "Clause", "OperatorConfig", "Verdict", "classify_bilinear", "decide",
+    "make_config",
     # witness descriptors
     "Constant", "Dilated", "Gaussian", "IndicatorBall", "MollifiedDelta",
     "NormEstimate", "PowerLog", "SplitPowerLog", "TestFunction",

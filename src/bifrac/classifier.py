@@ -1,6 +1,6 @@
-"""The decision procedure: exact boundedness characterizations of the
-bilinear fractional integral operator (`classify_bilinear`, `decide`)
-and of its linear and radial relatives.
+"""The decision procedure: the exact boundedness characterization of
+the bilinear fractional integral operator (`classify_bilinear`,
+`decide`).
 
 All decisions are made on exact rationals: exponents are compared via
 their reciprocals (q >= p iff 1/q <= 1/p, which covers p = inf
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exponents import (BifracError, Exponent, conjugate, homogeneous_lambda,
-                        parse_rational)
-from .matrices import RationalMatrix, rank, signature
+from .exponents import BifracError, Exponent, homogeneous_lambda, parse_rational
+from .matrices import RationalMatrix, signature
 
 
 class Clause(str, enum.Enum):
@@ -34,8 +33,7 @@ class Clause(str, enum.Enum):
     CASE_4B = "Case4b"
     CASE_4C = "Case4c"
     CASE_4D = "Case4d"
-    # extra tags used by the linear and radial classifiers
-    RANK_DEFICIENT = "RankDeficient"
+    # the tag of every bounded verdict
     ACCEPTED = "Accepted"
 
 
@@ -127,10 +125,6 @@ def make_config(n1, n2, m, D1, D2, p1, p2, q, lam) -> OperatorConfig:
     )
 
 
-def _fail(clause: Clause, detail: str, subreason=None, r1=None, r2=None, lam=None) -> Verdict:
-    return Verdict(False, clause, detail, subreason=subreason, r1=r1, r2=r2, lam=lam)
-
-
 def classify_bilinear(cfg: OperatorConfig) -> Verdict:
     """Full boundedness characterization of the bilinear operator."""
     return decide(signature(cfg.D1, cfg.D2), cfg.p1, cfg.p2, cfg.q, cfg.lam)
@@ -156,7 +150,8 @@ def decide(sig: tuple, p1: Exponent, p2: Exponent, q: Exponent,
             f"order {lam} outside (0, {n1 + n2}); outside theorem scope")
 
     def fail(clause, detail, subreason=None):
-        return _fail(clause, detail, subreason=subreason, r1=r1, r2=r2, lam=lam)
+        return Verdict(False, clause, detail, subreason=subreason, r1=r1,
+                       r2=r2, lam=lam)
 
     # (1) stacked rank
     if stacked < m:
@@ -350,51 +345,3 @@ def _sweep_label(sig: tuple, i: int, j: int, k: int, lam_num: int,
     except HypothesisError as exc:
         return False, exc.clause
     return verdict.bounded, verdict.clause
-
-
-def classify_linear(n: int, m: int, D: RationalMatrix,
-                    p: Exponent, q: Exponent, lam: Fraction) -> Verdict:
-    """Generalized Riesz potential with matrix argument Dx.
-
-    Bounded iff rank(D) = m, 1 < p < q < inf and lam = n/p' + m/q.
-    """
-    if not (0 < lam < n):
-        raise HypothesisError(Clause.LAMBDA_OUT_OF_RANGE,
-                              f"order {lam} outside (0, {n})")
-    r = rank(D)
-    if r < m:
-        return _fail(Clause.RANK_DEFICIENT, f"rank(D) = {r} < m = {m}",
-                     r1=r, lam=lam)
-    if not (p.is_strictly_between_one_and_inf()
-            and q.is_strictly_between_one_and_inf()
-            and q.recip < p.recip):
-        return _fail(Clause.EXPONENT_RANGE_FAILED,
-                     "1 < p < q < inf is required", r1=r, lam=lam)
-    lam_star = n * conjugate(p).recip + m * q.recip
-    if lam != lam_star:
-        return _fail(Clause.HOMOGENEITY_FAILED,
-                     f"order {lam} != homogeneity value {lam_star}",
-                     r1=r, lam=lam)
-    return Verdict(True, Clause.ACCEPTED,
-                   "rank(D) = m, 1 < p < q < inf and homogeneity hold",
-                   r1=r, lam=lam)
-
-
-def classify_radial(n: int, m: int, p: Exponent, q: Exponent,
-                    lam: Fraction) -> Verdict:
-    """Radial kernel (|x| + |y|)^(-lam): bounded iff homogeneity holds
-    and 1 < p <= q < inf (the diagonal p = q is admitted here)."""
-    if lam <= 0:
-        raise HypothesisError(Clause.LAMBDA_OUT_OF_RANGE,
-                              f"order {lam} must be positive")
-    if not (p.is_strictly_between_one_and_inf()
-            and q.is_strictly_between_one_and_inf()
-            and q.recip <= p.recip):
-        return _fail(Clause.EXPONENT_RANGE_FAILED,
-                     "1 < p <= q < inf is required", lam=lam)
-    lam_star = n * conjugate(p).recip + m * q.recip
-    if lam != lam_star:
-        return _fail(Clause.HOMOGENEITY_FAILED,
-                     f"order {lam} != homogeneity value {lam_star}", lam=lam)
-    return Verdict(True, Clause.ACCEPTED,
-                   "homogeneity and 1 < p <= q < inf hold", lam=lam)

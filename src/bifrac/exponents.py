@@ -64,16 +64,6 @@ class Exponent:
     def is_infinite(self) -> bool:
         return self.recip == 0
 
-    def is_strictly_between_one_and_inf(self) -> bool:
-        return 0 < self.recip < 1
-
-    @property
-    def value(self) -> Fraction:
-        """p as an exact Fraction; raises for p = inf."""
-        if self.is_infinite:
-            raise BifracError("p is infinite")
-        return 1 / self.recip
-
     # -- ordering in p (not in recip) --------------------------------
 
     def __lt__(self, other: "Exponent") -> bool:

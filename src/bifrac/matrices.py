@@ -1,9 +1,8 @@
 """Exact rational linear algebra for small dense matrices.
 
 One Gauss-Jordan elimination over Fraction entries does every job:
-the rank is its pivot count, the inverse its record of row
-operations, and the normal forms are built from its reduced row
-echelon form.  Pivots are always the first nonzero entry in column
+the rank is its pivot count, and the normal forms are built from its
+reduced row echelon form and its record of row operations.  Pivots are always the first nonzero entry in column
 order: with exact arithmetic no magnitude heuristics are needed and
 the output is deterministic.
 """
@@ -15,10 +14,6 @@ from fractions import Fraction
 from typing import List, Sequence
 
 from .exponents import BifracError, parse_rational
-
-
-class SingularMatrixError(BifracError):
-    pass
 
 
 class RankDeficientStackError(BifracError):
@@ -148,16 +143,6 @@ def _gauss_jordan(M: RationalMatrix):
     return (RationalMatrix.from_rows(a) if n_rows else M,
             RationalMatrix.from_rows(p),
             pivots)
-
-
-def invert(M: RationalMatrix) -> RationalMatrix:
-    """Exact inverse; raises SingularMatrixError when rank < n."""
-    if M.rows != M.cols:
-        raise SingularMatrixError("matrix is not square")
-    rref, p, pivots = _gauss_jordan(M)
-    if len(pivots) != M.rows:
-        raise SingularMatrixError("matrix is singular")
-    return p
 
 
 @dataclass(frozen=True)

@@ -18,22 +18,22 @@ on one block, an input or a block distance, is computed once per
 distinct block coordinate, and only the product of the factors and the
 kernel power run on every point.
 
-Two partition layouts are chosen by the integration dimension d.  In
-d <= 2 the partition is a tensor product of 1-d partitions made by
-`_dyadic_cells`: uniform dyadic splits to a base depth, then only
-intervals whose own-width neighborhood holds a target keep splitting.
-The targets are the singular coordinate and the input descriptors'
-breaks on that axis (bump edges, power-law origins), so a bump that is
-narrow in one coordinate but extended in the others is still resolved;
-the product is never formed, each axis's leaves lie along their own
-array axis of the integrand's (..., n_b) block arrays (`_leaf_sum`).
-In higher dimension one d-dimensional partition has the singular point
-as its only target: the base lattice is uniform, and a cell splits into
+Every axis of every partition is a 1-d partition of the box's side
+made by `_axis_levels`: uniform dyadic splits to a base depth, then only
+intervals whose own-width neighborhood holds one of the axis's targets
+keep splitting.  Two partition layouts are chosen by the integration
+dimension d.  In d <= 2 an axis's targets are the singular coordinate
+and the input descriptors' breaks on that axis (bump edges, power-law
+origins), so a bump that is narrow in one coordinate but extended in
+the others is still resolved; the partition is the tensor product of
+the axes, never formed: each axis's leaves lie along their own array
+axis of the integrand's (..., n_b) block arrays (`_leaf_sum`).  In
+higher dimension one d-dimensional partition has the singular point as
+its only target: the base lattice is uniform, and a cell splits into
 2^d children when it lies within its own width of the singular point
-on every axis.  So each level is a product of 1-d interval sets
-(`_axis_levels`) less the product of their split subsets, and
-`_descend` walks it in Morton order, the order in which lexicographic
-children make it.
+on every axis.  So each level is a product of the axes' interval sets
+less the product of their split subsets, and `_descend` walks it in
+Morton order, the order in which lexicographic children make it.
 
 The d > 2 layout evaluates all points of one call together
 (`_shared_sums`).  Points whose singular points sit alike on the base
@@ -162,15 +162,22 @@ class ProbeReport:
 _CHUNK_POINTS = 1 << 20  # integrand points per evaluation call, at most
 
 
+def _combine(coarse: np.ndarray, fine: np.ndarray) -> Tuple[float, float]:
+    """The Richardson combination of the leaves' centroid (coarse) and
+    refined (fine) values, with the coarse/fine discrepancy as the error
+    estimate."""
+    return (float(np.sum(fine + (fine - coarse) / 3.0)),
+            float(np.sum(np.abs(fine - coarse))))
+
+
 def _leaf_sum(func: Callable[..., np.ndarray],
               factors: Sequence[Tuple[np.ndarray, np.ndarray]],
               blocks: Sequence[int]) -> Tuple[float, float]:
     """Centroid value plus one 2^d refinement pass over the leaves of a
-    factored partition in dimension d <= 2; Richardson-combined value
-    with the coarse/fine discrepancy as the error estimate.
+    factored partition in dimension d <= 2, combined by `_combine`.
 
-    `factors` are (lo, hi) leaf arrays, each (k, d_f) over the next d_f
-    coordinates, whose product (factor 0 slowest) is the partition.
+    `factors` are (lo, hi) leaf arrays, one per coordinate, whose
+    product (factor 0 slowest) is the partition.
     Each block's 2^n_b subcell corners lie along a leading array axis
     and each factor's leaves along a trailing one, so func, which takes
     one (..., n_b) array per block of `blocks`, sees each block
@@ -182,11 +189,9 @@ def _leaf_sum(func: Callable[..., np.ndarray],
     points, which bounds memory and does not change the values."""
     nb = len(blocks)
     ndim = nb + len(factors)
-    owner = [(f, c) for f, (lo, _) in enumerate(factors)
-             for c in range(lo.shape[1])]
     offsets = [np.array(list(itertools.product((0.25, 0.75), repeat=n)))
                for n in blocks]
-    corners = 2 ** len(owner)
+    corners = 2 ** len(factors)
     row = corners * math.prod(len(lo) for lo, _ in factors[1:])
     step = max(1, _CHUNK_POINTS // row)
 
@@ -199,14 +204,14 @@ def _leaf_sum(func: Callable[..., np.ndarray],
     lo0, hi0 = factors[0]
     for k in range(0, len(lo0), step):
         chunk = [(lo0[k:k + step], hi0[k:k + step])] + list(factors[1:])
-        vol = math.prod(along(np.prod(hi - lo, axis=1), nb + f)
+        vol = math.prod(along(hi - lo, nb + f)
                         for f, (lo, hi) in enumerate(chunk)).ravel()
         centre, sub = [], []
         start = 0
         for b, n in enumerate(blocks):
             mids, points = [], []
-            for i, (f, c) in enumerate(owner[start:start + n]):
-                lo, hi = chunk[f][0][:, c], chunk[f][1][:, c]
+            for i, f in enumerate(range(start, start + n)):
+                lo, hi = chunk[f]
                 mids.append(along((lo + hi) / 2.0, nb + f))
                 points.append(along(lo, nb + f) + along(offsets[b][:, i], b)
                               * along(hi - lo, nb + f))
@@ -217,46 +222,7 @@ def _leaf_sum(func: Callable[..., np.ndarray],
         # numpy adds fewer than 8 terms (d <= 2 here) one by one along
         # any axis, so the corner axis gives the row mean of one corner set
         fine.append(func(*sub).reshape(corners, -1).mean(axis=0) * vol)
-    coarse, fine = np.concatenate(coarse), np.concatenate(fine)
-    value = float(np.sum(fine + (fine - coarse) / 3.0))
-    err = float(np.sum(np.abs(fine - coarse)))
-    return value, err
-
-
-def _dyadic_cells(lo, hi, targets, base_depth: int,
-                  max_depth: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Dyadic partition of the box [lo, hi] in R^d.
-
-    Every box splits into 2^d children at its midpoint 0.5 (lo + hi)
-    until base_depth; after that only boxes whose own-width
-    neighborhood contains a target point (rows of `targets`) keep
-    splitting, up to max_depth levels.  Returns the leaves' (k, d) lower
-    and upper corners, level by level, children in lexicographic order.
-    """
-    lo = np.asarray(lo, dtype=float)[None, :]
-    hi = np.asarray(hi, dtype=float)[None, :]
-    d = lo.shape[1]
-    targets = np.asarray(targets, dtype=float).reshape(-1, d)[None, :, :]
-    upper = np.array(list(itertools.product((False, True), repeat=d)))
-    leaves_lo: List[np.ndarray] = []
-    leaves_hi: List[np.ndarray] = []
-    for level in range(max_depth):
-        if level < base_depth:
-            split = np.ones(len(lo), dtype=bool)
-        else:
-            width = hi - lo
-            near = ((targets >= (lo - width)[:, None, :])
-                    & (targets <= (hi + width)[:, None, :]))
-            split = np.any(np.all(near, axis=2), axis=1)
-        leaves_lo.append(lo[~split])
-        leaves_hi.append(hi[~split])
-        slo, shi = lo[split, None, :], hi[split, None, :]
-        mid = 0.5 * (slo + shi)
-        lo = np.where(upper, mid, slo).reshape(-1, d)
-        hi = np.where(upper, shi, mid).reshape(-1, d)
-    leaves_lo.append(lo)
-    leaves_hi.append(hi)
-    return np.concatenate(leaves_lo), np.concatenate(leaves_hi)
+    return _combine(np.concatenate(coarse), np.concatenate(fine))
 
 
 def _kernel(dists, lam: float, offset: float) -> np.ndarray:
@@ -277,7 +243,8 @@ def _bits(n: int) -> np.ndarray:
 
 def _morton(d: int, depth: int) -> np.ndarray:
     """Integer coordinates of the 2^(d depth) cells of a uniform dyadic
-    lattice in the order `_dyadic_cells` makes them (Morton order)."""
+    lattice in the order that splitting every cell into its 2^d
+    children, in lexicographic order, makes them (Morton order)."""
     cells = np.zeros((1, d), dtype=np.intp)
     for _ in range(depth):
         cells = (2 * cells[:, None, :] + _bits(d)).reshape(-1, d)
@@ -286,23 +253,26 @@ def _morton(d: int, depth: int) -> np.ndarray:
 
 def _near(c, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Whether c lies in the own-width neighbourhood of each interval
-    [lo, hi], the split rule of `_dyadic_cells` on one axis."""
+    [lo, hi], the rule by which `_axis_levels` splits an interval."""
     width = hi - lo
     return (c >= lo - width) & (c <= hi + width)
 
 
-def _axis_levels(c: float, lo: np.ndarray, hi: np.ndarray,
-                 levels: int) -> List[Tuple[np.ndarray, np.ndarray,
-                                            np.ndarray]]:
-    """One axis of the partition in dimension > 2, refined toward c: for
-    each of `levels` levels from the lattice (lo, hi) on, the intervals
-    there and which of them split, those whose own-width neighbourhood
-    holds c (none at the last level).  Each level holds the halves of the
-    previous level's split intervals."""
+def _axis_levels(half: float, targets: Sequence[float], base: int,
+                 top: int) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One axis of a partition of [-half, half], refined toward the
+    points `targets`: for each level 0..top, the intervals there and
+    which of them split.  Below `base` every interval splits, from `base`
+    on those whose own-width neighbourhood holds a target, and at `top`
+    none.  Each level holds the halves of the previous level's split
+    intervals, the lower half first."""
+    lo, hi = np.array([-half]), np.array([half])
+    targets = np.asarray(targets, dtype=float)[:, None]
     out = []
-    for level in range(levels):
-        split = (_near(c, lo, hi) if level < levels - 1
-                 else np.zeros(len(lo), dtype=bool))
+    for level in range(top + 1):
+        split = (np.zeros(len(lo), dtype=bool) if level == top
+                 else np.ones(len(lo), dtype=bool) if level < base
+                 else _near(targets, lo, hi).any(axis=0))
         out.append((lo, hi, split))
         slo, shi = lo[split], hi[split]
         mid = 0.5 * (slo + shi)
@@ -438,11 +408,9 @@ def _shared_sums(inputs, centres: np.ndarray, blocks: Sequence[int],
     points, d = centres.shape
     half = quad.truncation_radius
     base, top = quad.depths(d)
-    levels = top - base + 1
-    lo, hi = (a[:, 0] for a in _dyadic_cells([-half], [half], (), base,
-                                            base))
+    lo, hi, _ = _axis_levels(half, (), base, base)[base]
     # which lattice intervals split, per point and axis, and the first
-    split = (_near(centres[..., None], lo, hi) if levels > 1
+    split = (_near(centres[..., None], lo, hi) if top > base
              else np.zeros(centres.shape + lo.shape, dtype=bool))
     first = np.argmax(split, axis=2)
     lattice = _morton(d, base)
@@ -493,10 +461,11 @@ def _shared_sums(inputs, centres: np.ndarray, blocks: Sequence[int],
         rep = members[0]
         # the core: the cells below the split lattice cells (its roots),
         # level by level and root by root in the representative's order
-        axes = [_axis_levels(c, lo, hi, levels) for c in centres[rep]]
+        axes = [_axis_levels(half, [c], base, top)[base:]
+                for c in centres[rep]]
         roots = lattice[splits(rep)]
         tree = _descend(axes, roots)[1:]
-        coords, index = _tables(axes, blocks, range(1, levels))
+        coords, index = _tables(axes, blocks, range(1, len(axes[0])))
         dists = distances(coords, centres[rep])
         tabled = {p: [f.values(t + s) for f, t, s in zip(
             inputs, coords, blockwise(lo[first[p]] - lo[first[rep]]))]
@@ -527,10 +496,8 @@ def _shared_sums(inputs, centres: np.ndarray, blocks: Sequence[int],
                 order = np.repeat(starts[:, rank].ravel() - np.cumsum(n) + n,
                                   n) + np.arange(n.sum())
                 own = [a[order] for a in own]
-            coarse = np.concatenate([c for c, _ in parts] + own[:1])
-            fine = np.concatenate([f for _, f in parts] + own[1:])
-            return (float(np.sum(fine + (fine - coarse) / 3.0)),
-                    float(np.sum(np.abs(fine - coarse))))
+            return _combine(np.concatenate([c for c, _ in parts] + own[:1]),
+                            np.concatenate([f for _, f in parts] + own[1:]))
         for p, (v, e) in zip(members, run(finish, members)):
             values[p], errs[p] = v, e
     return values, errs
@@ -538,33 +505,19 @@ def _shared_sums(inputs, centres: np.ndarray, blocks: Sequence[int],
 
 def _partition(singular: np.ndarray, breaks: List[List[float]],
                quad: QuadratureSpec) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Factors of the adaptive partition of the truncation box.
-
-    In dimension <= 2 one 1-d partition per axis, each refined toward
-    the singular coordinate and that axis's breaks, whose product is
-    the partition `_leaf_sum` evaluates; in higher dimension one factor,
-    the leaves of the partition refined toward the singular point that
-    `_shared_sums` evaluates, level by level in Morton order.
-    """
-    d = singular.size
-    half = quad.truncation_radius
-    base, top = quad.depths(d)
-    if d > 2:
-        lo, hi = (a[:, 0] for a in _dyadic_cells([-half], [half], (), base,
-                                                base))
-        axes = [_axis_levels(s, lo, hi, top - base + 1) for s in singular]
-        leaves = [[np.stack([axis[level][side][cells[:, i]]
-                             for i, axis in enumerate(axes)], axis=1)
-                   for side in (0, 1)]
-                  for level, (cells, _) in
-                  enumerate(_descend(axes, _morton(d, base)))]
-        return [(np.concatenate([lo for lo, _ in leaves]),
-                 np.concatenate([hi for _, hi in leaves]))]
+    """Factors of the adaptive partition of the truncation box in
+    dimension <= 2: per axis the (lo, hi) leaves of one 1-d partition,
+    level by level, refined toward the singular coordinate and that
+    axis's breaks; their product is the partition `_leaf_sum`
+    evaluates."""
+    base, top = quad.depths(singular.size)
     axes = {}   # axes with the same targets share one partition
     for s, b in zip(singular, breaks):
         key = (s, *b)
         if key not in axes:
-            axes[key] = _dyadic_cells([-half], [half], key, base, top)
+            kept = [(lo[~split], hi[~split]) for lo, hi, split
+                    in _axis_levels(quad.truncation_radius, key, base, top)]
+            axes[key] = tuple(map(np.concatenate, zip(*kept)))
     return [axes[(s, *b)] for s, b in zip(singular, breaks)]
 
 

@@ -9,8 +9,7 @@ import pytest
 
 from bifrac import classifier
 from bifrac.classifier import (EQUALITY_NOT_ACCESSIBLE, Clause,
-                               HypothesisError, classify_bilinear,
-                               classify_linear, classify_radial, decide,
+                               HypothesisError, classify_bilinear, decide,
                                make_config, sweep_verdicts)
 from bifrac.exponents import Exponent, homogeneous_lambda
 from bifrac.matrices import RationalMatrix, rank, signature
@@ -152,28 +151,7 @@ def test_both_ranks_intermediate_case():
     assert v.bounded
 
 
-# -- linear / radial / pairing ---------------------------------------
-
-
-def test_linear_worked_instances():
-    D = RationalMatrix.from_rows([[1], [0]])
-    v = classify_linear(2, 1, D, Exponent.from_value(2),
-                        Exponent.from_value(4), Fraction(5, 4))
-    assert v.bounded
-    v = classify_linear(2, 1, D, Exponent.from_value(2),
-                        Exponent.from_value(2), Fraction(3, 2))
-    assert not v.bounded
-    v = classify_linear(2, 2, RationalMatrix.zero(2, 2),
-                        Exponent.from_value(2), Exponent.from_value(4),
-                        Fraction(1))
-    assert not v.bounded and v.clause == Clause.RANK_DEFICIENT
-
-
-def test_radial_worked_instances():
-    e = Exponent.from_value
-    assert classify_radial(1, 1, e(2), e(2), Fraction(1)).bounded
-    assert not classify_radial(1, 1, e(2), e("3/2"), Fraction(7, 6)).bounded
-    assert not classify_radial(1, 1, e(1), e(1), Fraction(1)).bounded
+# -- pairing ---------------------------------------------------------
 
 
 def test_pairing_worked_instances():
@@ -181,30 +159,6 @@ def test_pairing_worked_instances():
     assert classify_pairing(1, 1, e(2), e(2)).bounded
     assert not classify_pairing(1, 1, e(3), e(3)).bounded
     assert not classify_pairing(1, 1, e(1), e(2)).bounded
-
-
-def test_linear_vs_radial_differ_exactly_on_the_diagonal():
-    """With D = I the two characterizations agree except at p = q,
-    where only the radial operator remains bounded."""
-    e = Exponent.from_value
-    grid = [Fraction(i, 8) for i in range(9)]
-    for n in (1, 2):
-        D = RationalMatrix.identity(n)
-        for ap in grid:
-            for aq in grid:
-                p, q = Exponent(ap), Exponent(aq)
-                if ap > 1 or ap == 0:
-                    continue
-                lam = n * (1 - ap) + n * aq
-                if not 0 < lam < n:
-                    continue
-                lin = classify_linear(n, n, D, p, q, lam).bounded
-                rad = classify_radial(n, n, p, q, lam).bounded
-                if ap == aq:
-                    assert rad or not (0 < ap < 1)
-                    assert not lin
-                else:
-                    assert lin == rad
 
 
 # -- cross-checks and invariances ------------------------------------

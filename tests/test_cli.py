@@ -8,7 +8,7 @@ import pytest
 
 from bifrac import (BifracError, ConjugateUndefinedError, DivergentNormError,
                     HypothesisError, NoWitnessError, NonIntegrableError,
-                    RankDeficientStackError, SingularMatrixError, cli)
+                    RankDeficientStackError, cli)
 from bifrac.cli import main
 
 
@@ -607,10 +607,38 @@ def test_a_bug_inside_a_command_propagates(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("error", [
     cli.ConfigError, HypothesisError, NonIntegrableError,
-    RankDeficientStackError, SingularMatrixError, ConjugateUndefinedError,
-    DivergentNormError, NoWitnessError])
+    RankDeficientStackError, ConjugateUndefinedError, DivergentNormError,
+    NoWitnessError])
 def test_every_refusal_is_a_bifrac_error(error):
     assert issubclass(error, BifracError)
+
+
+PUBLIC_NAMES = {
+    "BifracError", "ConjugateUndefinedError", "DivergentNormError",
+    "HypothesisError", "NoWitnessError", "NonIntegrableError",
+    "RankDeficientStackError",
+    "Exponent", "conjugate", "homogeneous_lambda", "parse_rational",
+    "JointNormalForm", "RationalMatrix", "SingleNormalForm",
+    "joint_normal_form", "rank", "signature", "single_normal_form",
+    "Clause", "OperatorConfig", "Verdict", "classify_bilinear", "decide",
+    "make_config",
+    "Constant", "Dilated", "Gaussian", "IndicatorBall", "MollifiedDelta",
+    "NormEstimate", "PowerLog", "SplitPowerLog", "TestFunction",
+    "Translated", "dilate", "lp_norm", "translate", "witness_for",
+    "GridSpec", "ProbeReport", "QuadratureSpec", "blowup_probe",
+    "dilation_slope", "eval_bilinear", "eval_linear", "eval_radial",
+    "lq_norm_on_grid", "norm_ratio", "predicted_dilation_slope",
+}
+
+
+def test_public_names_are_pinned():
+    """`from bifrac import *` binds exactly the pinned public names, so
+    a name enters or leaves the public surface only on purpose."""
+    namespace = {}
+    exec("from bifrac import *", namespace)
+    del namespace["__builtins__"]
+    assert len(PUBLIC_NAMES) == 49
+    assert set(namespace) == PUBLIC_NAMES
 
 
 def test_a_refusal_is_one_error_line(tmp_path):

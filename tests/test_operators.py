@@ -17,7 +17,7 @@ from bifrac.functions import (Constant, Gaussian, IndicatorBall,
 from bifrac import operators
 from bifrac.matrices import RationalMatrix
 from bifrac.operators import (GridSpec, NonIntegrableError, QuadratureSpec,
-                              _dyadic_cells, _partition,
+                              _axis_levels, _partition,
                               dilation_slope, eval_bilinear, eval_linear,
                               eval_radial, lq_norm_on_grid,
                               predicted_dilation_slope)
@@ -153,17 +153,59 @@ def axis_cells_reference(half, specials, base_depth, max_depth):
     return np.array(leaves)
 
 
+def dyadic_cells_reference(lo, hi, targets, base_depth, max_depth):
+    """Dyadic partition of the box [lo, hi] in R^d, the former
+    `_dyadic_cells`, kept as the reference for the d > 2 layout.
+
+    Every box splits into 2^d children at its midpoint 0.5 (lo + hi)
+    until base_depth; after that only boxes whose own-width
+    neighborhood contains a target point (rows of `targets`) keep
+    splitting, up to max_depth levels.  Returns the leaves' (k, d) lower
+    and upper corners, level by level, children in lexicographic order.
+    """
+    lo = np.asarray(lo, dtype=float)[None, :]
+    hi = np.asarray(hi, dtype=float)[None, :]
+    d = lo.shape[1]
+    targets = np.asarray(targets, dtype=float).reshape(-1, d)[None, :, :]
+    upper = np.array(list(itertools.product((False, True), repeat=d)))
+    leaves_lo, leaves_hi = [], []
+    for level in range(max_depth):
+        if level < base_depth:
+            split = np.ones(len(lo), dtype=bool)
+        else:
+            width = hi - lo
+            near = ((targets >= (lo - width)[:, None, :])
+                    & (targets <= (hi + width)[:, None, :]))
+            split = np.any(np.all(near, axis=2), axis=1)
+        leaves_lo.append(lo[~split])
+        leaves_hi.append(hi[~split])
+        slo, shi = lo[split, None, :], hi[split, None, :]
+        mid = 0.5 * (slo + shi)
+        lo = np.where(upper, mid, slo).reshape(-1, d)
+        hi = np.where(upper, shi, mid).reshape(-1, d)
+    leaves_lo.append(lo)
+    leaves_hi.append(hi)
+    return np.concatenate(leaves_lo), np.concatenate(leaves_hi)
+
+
 def leaves(factors):
-    """The leaves of a factored partition as (k, d) lower and upper
-    corners, factor 0 slowest."""
-    def product(corners):
-        grids = np.meshgrid(*[c[:, 0] for c in corners], indexing="ij")
+    """The leaves of a product of 1-d partitions as (k, d) lower and
+    upper corners, factor 0 slowest."""
+    def product(ends):
+        grids = np.meshgrid(*ends, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
-    if len(factors) == 1:
-        return factors[0]
     return (product([lo for lo, _ in factors]),
             product([hi for _, hi in factors]))
+
+
+def layout(singular, breaks, quad):
+    """The leaves as (k, d) corners: `_partition`'s in dimension <= 2,
+    and above it the d-dimensional reference, which
+    `test_grid_values_match_pointwise` pins the layout to bit for bit."""
+    if singular.size > 2:
+        return partition_reference(singular, breaks, quad)
+    return leaves(_partition(singular, breaks, quad))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -171,7 +213,7 @@ def test_partition_tiles_the_truncation_box(d):
     quad = QuadratureSpec()
     singular = np.linspace(0.3, -0.7, d)
     breaks = [[-1.0, 1.0]] * d
-    lo, hi = leaves(_partition(singular, breaks, quad))
+    lo, hi = layout(singular, breaks, quad)
     assert np.all(lo >= -8.0) and np.all(hi <= 8.0) and np.all(hi > lo)
     assert float(np.sum(np.prod(hi - lo, axis=1))) == 16.0 ** d
 
@@ -189,7 +231,7 @@ def test_partition_1d_leaves_abut():
 def test_singular_leaf_has_finest_width(d):
     singular = np.full(d, 0.3)
     for quad in (QuadratureSpec(max_depth=7, base_depth=2), QuadratureSpec()):
-        lo, hi = leaves(_partition(singular, [[]] * d, quad))
+        lo, hi = layout(singular, [[]] * d, quad)
         inside = np.all((lo <= singular) & (singular < hi), axis=1)
         assert inside.sum() == 1
         width = 16.0 * 2.0 ** -quad.depths(d)[1]
@@ -223,10 +265,14 @@ def test_partial_spec_keeps_the_dimension_defaults(evaluate):
        st.integers(0, 6), st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
 def test_dyadic_cells_1d_matches_segment_loop(half, specials, base, depth):
+    """The leaves of `_axis_levels` are the segment loop's, for the
+    drawn targets and for none (the base lattice)."""
     base = min(base, depth)
-    lo, hi = _dyadic_cells([-half], [half], specials, base, depth)
-    ref = axis_cells_reference(half, specials, base, depth)
-    assert np.array_equal(np.concatenate([lo, hi], axis=1), ref)
+    for targets in (specials, []):
+        kept = [np.stack([lo[~split], hi[~split]], axis=1)
+                for lo, hi, split in _axis_levels(half, targets, base, depth)]
+        ref = axis_cells_reference(half, targets, base, depth)
+        assert np.array_equal(np.concatenate(kept), ref)
 
 
 @pytest.mark.parametrize("n, f1, f2, quad", [
@@ -260,10 +306,11 @@ def partition_reference(singular, breaks, quad):
     half = quad.truncation_radius
     base, top = quad.depths(d)
     if d > 2:
-        return _dyadic_cells(np.full(d, -half), np.full(d, half), singular,
-                             base, top)
-    return leaves([_dyadic_cells([-half], [half], [s] + list(b), base, top)
-                   for s, b in zip(singular, breaks)])
+        return dyadic_cells_reference(np.full(d, -half), np.full(d, half),
+                                      singular, base, top)
+    axes = [dyadic_cells_reference([-half], [half], [s] + list(b), base, top)
+            for s, b in zip(singular, breaks)]
+    return leaves([(lo[:, 0], hi[:, 0]) for lo, hi in axes])
 
 
 def leaf_sum_reference(func, lo, hi, chunk_points=1 << 20):
