@@ -18,6 +18,10 @@ on one block, an input or a block distance, is computed once per
 distinct block coordinate, and only the product of the factors and the
 kernel power run on every point.
 
+One call evaluates a family of input tuples, each to its lone values: in
+d <= 2 each distinct axis is built once per point and each partition and
+kernel once per group of equal breaks, in d > 2 each tuple has its pass.
+
 Every axis of every partition is a 1-d partition of the box's side
 made by `_axis_levels`: uniform dyadic splits to a base depth, then only
 intervals whose own-width neighborhood holds one of the axis's targets
@@ -170,21 +174,21 @@ def _combine(coarse: np.ndarray, fine: np.ndarray) -> Tuple[float, float]:
             float(np.sum(np.abs(fine - coarse))))
 
 
-def _leaf_sum(func: Callable[..., np.ndarray],
+def _leaf_sum(kernel: Callable[..., np.ndarray], family,
               factors: Sequence[Tuple[np.ndarray, np.ndarray]],
-              blocks: Sequence[int]) -> Tuple[float, float]:
-    """Centroid value plus one 2^d refinement pass over the leaves of a
-    factored partition in dimension d <= 2, combined by `_combine`.
+              blocks: Sequence[int]) -> List[Tuple[float, float]]:
+    """Per tuple of `family`, `_combine` of the centroid values and one
+    2^d refinement pass over the leaves of a factored partition, d <= 2.
 
     `factors` are (lo, hi) leaf arrays, one per coordinate, whose
     product (factor 0 slowest) is the partition.
     Each block's 2^n_b subcell corners lie along a leading array axis
-    and each factor's leaves along a trailing one, so func, which takes
-    one (..., n_b) array per block of `blocks`, sees each block
-    coordinate once.  The corners keep the lexicographic order of one
-    d-dimensional corner set and each leaf's mean adds them one by one,
-    as numpy sums a contiguous row of fewer than 8, so per-leaf values
-    do not depend on the factoring.
+    and each factor's leaves along a trailing one, so `kernel` and the
+    inputs, taking one (..., n_b) array per block of `blocks`, see each
+    block coordinate once.  The corners keep the lexicographic order of
+    one d-dimensional corner set and each leaf's mean adds them one by
+    one, as numpy sums a contiguous row of fewer than 8, so per-leaf
+    values do not depend on the factoring.
     Factor 0 is evaluated in chunks of at most _CHUNK_POINTS integrand
     points, which bounds memory and does not change the values."""
     nb = len(blocks)
@@ -194,13 +198,22 @@ def _leaf_sum(func: Callable[..., np.ndarray],
     corners = 2 ** len(factors)
     row = corners * math.prod(len(lo) for lo, _ in factors[1:])
     step = max(1, _CHUNK_POINTS // row)
+    whole = step >= len(factors[0][0])   # one chunk: members share kernels
+    if not whole and len(family) > 1:   # in turn, each holding its leaves
+        return [_leaf_sum(kernel, [inputs], factors, blocks)[0]
+                for inputs in family]
 
     def along(v, axis):
         shape = [1] * ndim
         shape[axis] = -1
         return v.reshape(shape)
 
-    coarse, fine = [], []
+    def integrand(inputs, ys, kern):
+        # a lone integrand's K (f1 f2): IEEE products commute
+        out = math.prod(f.values(y) for f, y in zip(inputs, ys))
+        return np.multiply(out, kern, out=out)
+
+    sums = [[] for _ in family]
     lo0, hi0 = factors[0]
     for k in range(0, len(lo0), step):
         chunk = [(lo0[k:k + step], hi0[k:k + step])] + list(factors[1:])
@@ -218,11 +231,18 @@ def _leaf_sum(func: Callable[..., np.ndarray],
             centre.append(np.stack(np.broadcast_arrays(*mids), axis=-1))
             sub.append(np.stack(np.broadcast_arrays(*points), axis=-1))
             start += n
-        coarse.append(func(*centre).reshape(-1) * vol)
-        # numpy adds fewer than 8 terms (d <= 2 here) one by one along
-        # any axis, so the corner axis gives the row mean of one corner set
-        fine.append(func(*sub).reshape(corners, -1).mean(axis=0) * vol)
-    return _combine(np.concatenate(coarse), np.concatenate(fine))
+        kern = kernel(*centre)
+        coarse = [integrand(inputs, centre, kern).reshape(-1) * vol
+                  for inputs in family]
+        kern = kernel(*sub)
+        for inputs, c, parts in zip(family, coarse, sums):
+            # numpy adds fewer than 8 terms (d <= 2 here) one by one along
+            # any axis: the corner axis gives the row mean of one corner set
+            fine = (integrand(inputs, sub, kern).reshape(corners, -1)
+                    .mean(axis=0) * vol)
+            parts.append(_combine(c, fine) if whole else (c, fine))
+    return [parts[0] if whole else _combine(*map(np.concatenate, zip(*parts)))
+            for parts in sums]
 
 
 def _kernel(dists, lam: float, offset: float) -> np.ndarray:
@@ -503,15 +523,15 @@ def _shared_sums(inputs, centres: np.ndarray, blocks: Sequence[int],
     return values, errs
 
 
-def _partition(singular: np.ndarray, breaks: List[List[float]],
-               quad: QuadratureSpec) -> List[Tuple[np.ndarray, np.ndarray]]:
+def _partition(singular: np.ndarray, breaks: Sequence[Sequence[float]],
+               quad: QuadratureSpec,
+               axes: dict) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Factors of the adaptive partition of the truncation box in
     dimension <= 2: per axis the (lo, hi) leaves of one 1-d partition,
     level by level, refined toward the singular coordinate and that
-    axis's breaks; their product is the partition `_leaf_sum`
-    evaluates."""
+    axis's breaks and cached in `axes` by them; their product is the
+    partition `_leaf_sum` evaluates."""
     base, top = quad.depths(singular.size)
-    axes = {}   # axes with the same targets share one partition
     for s, b in zip(singular, breaks):
         key = (s, *b)
         if key not in axes:
@@ -521,19 +541,19 @@ def _partition(singular: np.ndarray, breaks: List[List[float]],
     return [axes[(s, *b)] for s, b in zip(singular, breaks)]
 
 
-def _evaluate(inputs: Sequence[TestFunction], centres: Sequence[np.ndarray],
-              lam, quad: QuadratureSpec, offset: float = 0.0,
-              workers: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+def _evaluate(family: Sequence[Sequence[TestFunction]],
+              centres: Sequence[np.ndarray], lam, quad: QuadratureSpec,
+              offset: float = 0.0, workers: Optional[int] = None) -> list:
     """Integral of prod_b f_b(y_b) (offset + sum_b |c_b - y_b|)^-lam over
-    the truncation box, for one input f_b per coordinate block and one
-    (P, n_b) array of centres c_b per block, a row per point; returns the
-    values and the error estimates, in point order.  Refuses an input
-    whose dim is not its block's size, and a kernel order outside
-    (0, sum_b n_b), or outside (0, inf) when offset > 0; the kernel is 0
-    at the singular point.  `workers` > 1 spreads the points over that
-    many threads, with the same results."""
+    the truncation box, for each tuple of `family` (one input f_b per
+    coordinate block) and one (P, n_b) array of centres c_b per block, a
+    row per point; returns per tuple its values and error estimates, in
+    point order.  Refuses an input whose dim is not its block's size, and
+    a kernel order outside (0, sum_b n_b), or outside (0, inf) when
+    offset > 0; the kernel is 0 at the singular point.  `workers` > 1
+    spreads the points over that many threads, with the same results."""
     blocks = [c.shape[1] for c in centres]
-    for f, n in zip(inputs, blocks):
+    for f, n in ((f, n) for inputs in family for f, n in zip(inputs, blocks)):
         if f.dim != n:
             raise BifracError(f"input of dim {f.dim} on a block of dim {n}")
     top = sum(blocks) if offset == 0 else math.inf
@@ -545,28 +565,34 @@ def _evaluate(inputs: Sequence[TestFunction], centres: Sequence[np.ndarray],
           else contextlib.nullcontext()) as pool:
         run = pool.map if pool else map
         if sum(blocks) > 2:
-            return _shared_sums(inputs, np.concatenate(centres, axis=1),
-                                blocks, lam, offset, quad, run)
-        breaks = [axis for f in inputs for axis in f.breaks()]
+            return [_shared_sums(inputs, np.concatenate(centres, axis=1),
+                                 blocks, lam, offset, quad, run)
+                    for inputs in family]
+        groups = {}   # tuples with the same breaks share each partition
+        for i, inputs in enumerate(family):
+            breaks = tuple(tuple(axis) for f in inputs for axis in f.breaks())
+            groups.setdefault(breaks, []).append(i)
 
         def point(row):
-            def integrand(*ys):
-                base = _kernel([np.linalg.norm(c - y, axis=-1)
+            def kernel(*ys):
+                return _kernel([np.linalg.norm(c - y, axis=-1)
                                 for c, y in zip(row, ys)], lam, offset)
-                base *= math.prod(f.values(y) for f, y in zip(inputs, ys))
-                return base
-            return _leaf_sum(integrand,
-                             _partition(np.concatenate(row), breaks, quad),
-                             blocks)
-        sums = list(run(point, zip(*centres)))
-    return (np.array([v for v, _ in sums], dtype=float),
-            np.array([e for _, e in sums], dtype=float))
+            sums, axes = {}, {}
+            for breaks, members in groups.items():
+                sums.update(zip(members, _leaf_sum(
+                    kernel, [family[i] for i in members],
+                    _partition(np.concatenate(row), breaks, quad, axes),
+                    blocks)))
+            return [sums[i] for i in range(len(family))]
+        sums = np.array(list(run(point, zip(*centres))), dtype=float)
+    return list(sums.reshape(len(centres[0]), len(family), 2)
+                .transpose(1, 2, 0).copy())
 
 
-def _estimate(values: Tuple[np.ndarray, np.ndarray]) -> NormEstimate:
-    """The one point's estimate of an `_evaluate` result."""
-    return NormEstimate(float(values[0][0]), float(values[1][0]),
-                        "quadrature")
+def _estimate(values) -> NormEstimate:
+    """The one point's estimate of a one-tuple `_evaluate` result."""
+    (value, error), = values
+    return NormEstimate(float(value[0]), float(error[0]), "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +605,8 @@ def eval_bilinear(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
     (|D1 x - y1| + |D2 x - y2|)^-lam over the truncation box."""
     x = np.asarray(x, dtype=float).reshape(cfg.m)
     centres = (cfg.D1.to_float() @ x, cfg.D2.to_float() @ x)
-    return _estimate(_evaluate((f1, f2), [c[None] for c in centres], cfg.lam,
-                               quad))
+    return _estimate(_evaluate([(f1, f2)], [c[None] for c in centres],
+                               cfg.lam, quad))
 
 
 def eval_linear(n: int, m: int, D: RationalMatrix, lam, f: TestFunction,
@@ -589,14 +615,14 @@ def eval_linear(n: int, m: int, D: RationalMatrix, lam, f: TestFunction,
     an n x m matrix D."""
     check_shape("D", D, n, m)
     x = np.asarray(x, dtype=float).reshape(m)
-    return _estimate(_evaluate((f,), ((D.to_float() @ x)[None],), lam, quad))
+    return _estimate(_evaluate([[f]], ((D.to_float() @ x)[None],), lam, quad))
 
 
 def eval_radial(n: int, m: int, lam, f: TestFunction, x,
                 quad: QuadratureSpec = QuadratureSpec()) -> NormEstimate:
     """Radial operator: integral of f(y) (|x| + |y|)^-lam."""
     x = np.asarray(x, dtype=float).reshape(m)
-    return _estimate(_evaluate((f,), (np.zeros((1, n)),), lam, quad,
+    return _estimate(_evaluate([[f]], (np.zeros((1, n)),), lam, quad,
                                offset=float(np.linalg.norm(x))))
 
 
@@ -604,11 +630,11 @@ def eval_radial(n: int, m: int, lam, f: TestFunction, x,
 # grid norms and probes
 
 
-def _pointwise_values(cfg, f1, f2, xs, quad, workers=None):
-    """Operator values and error estimates at each grid point, in order."""
+def _pointwise_values(cfg, family, xs, quad, workers=None):
+    """Per pair of `family`, the values and error estimates at each point."""
     matrices = (cfg.D1.to_float(), cfg.D2.to_float())
     centres = [np.array([D @ x for x in xs]) for D in matrices]
-    return _evaluate((f1, f2), centres, cfg.lam, quad, workers=workers)
+    return _evaluate(family, centres, cfg.lam, quad, workers=workers)
 
 
 def lq_norm_on_grid(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
@@ -619,18 +645,22 @@ def lq_norm_on_grid(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
 
     q < 1 uses the same power-sum formula; q = inf takes the grid max.
     """
-    xs = grid.points(cfg.m)
-    vals, errs = _pointwise_values(cfg, f1, f2, xs, quad, workers=workers)
-    if cfg.q.is_infinite:
-        k = int(np.argmax(np.abs(vals)))
-        return NormEstimate(float(np.abs(vals[k])), float(errs[k]),
-                            "quadrature")
-    qv = float(cfg.q)
-    meas = grid.cell_measure(cfg.m)
-    power_sum = float(np.sum(np.abs(vals) ** qv) * meas)
-    value = power_sum ** (1.0 / qv)
-    upper = float(np.sum((np.abs(vals) + errs) ** qv) * meas) ** (1.0 / qv)
-    return NormEstimate(value, upper - value, "quadrature")
+    return next(_grid_norms(cfg, [(f1, f2)], grid, quad, workers))
+
+
+def _grid_norms(cfg, family, grid, quad, workers):
+    """`lq_norm_on_grid` of each pair of `family`, from one grid pass."""
+    for vals, errs in _pointwise_values(cfg, family, grid.points(cfg.m),
+                                        quad, workers=workers):
+        if cfg.q.is_infinite:
+            k = int(np.argmax(np.abs(vals)))
+            yield NormEstimate(float(np.abs(vals[k])), float(errs[k]),
+                               "quadrature")
+            continue
+        qv, meas = float(cfg.q), grid.cell_measure(cfg.m)
+        value = float(np.sum(np.abs(vals) ** qv) * meas) ** (1.0 / qv)
+        upper = float(np.sum((np.abs(vals) + errs) ** qv) * meas) ** (1.0 / qv)
+        yield NormEstimate(value, upper - value, "quadrature")
 
 
 def predicted_dilation_slope(cfg: OperatorConfig) -> float:
@@ -646,13 +676,20 @@ def norm_ratio(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
                workers: Optional[int] = None) -> Tuple[float, float]:
     """||I(f1, f2)||_q / (||f1||_p1 ||f2||_p2) on the grid, with the
     propagated numerator error."""
-    d1 = lp_norm(f1, cfg.p1).value
-    d2 = lp_norm(f2, cfg.p2).value
-    if not d1 * d2 > 0:
-        raise BifracError(f"norm ratio undefined: the input norms are "
-                          f"{d1} and {d2}")
-    num = lq_norm_on_grid(cfg, f1, f2, grid, quad, workers=workers)
-    return num.value / (d1 * d2), num.abs_error / (d1 * d2)
+    return _norm_ratios(cfg, [(f1, f2)], grid, quad, workers)[0]
+
+
+def _norm_ratios(cfg, family, grid, quad, workers):
+    """`norm_ratio` of each pair of `family`, from one grid pass."""
+    norms = [(lp_norm(f1, cfg.p1).value, lp_norm(f2, cfg.p2).value)
+             for f1, f2 in family]
+    for d1, d2 in norms:
+        if not d1 * d2 > 0:
+            raise BifracError(f"norm ratio undefined: the input norms are "
+                              f"{d1} and {d2}")
+    return [(num.value / (d1 * d2), num.abs_error / (d1 * d2))
+            for num, (d1, d2) in zip(_grid_norms(cfg, family, grid, quad,
+                                                 workers), norms)]
 
 
 def dilation_slope(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
@@ -667,8 +704,11 @@ def dilation_slope(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
                           f"factors, got {list(a_list)!r}")
     if cfg.q.is_infinite:
         raise BifracError("q: slope probe requires q < inf")
-    pairs = [norm_ratio(cfg, dilate(f1, a), dilate(f2, a),
-                        grid, quad, workers=workers) for a in a_list]
+    for a in a_list:   # the dilated inputs take y / a, y in the box
+        if a > 0 and math.isinf(quad.truncation_radius / a):
+            raise BifracError(f"a_list: dilation factor {a!r} is too small")
+    pairs = _norm_ratios(cfg, [(dilate(f1, a), dilate(f2, a))
+                               for a in a_list], grid, quad, workers)
     ratios = [r for r, _ in pairs]
     if any(r <= 0 for r in ratios):
         raise BifracError("nonpositive norm ratio in slope probe")
@@ -695,5 +735,5 @@ def blowup_probe(cfg: OperatorConfig, family,
     """Norm ratios along a family of (f1, f2) pairs (ordered by
     decreasing concentration parameter); monotone growth is the
     finite-probe signature of unboundedness."""
-    return [norm_ratio(cfg, f1, f2, grid, quad, workers=workers)[0]
-            for f1, f2 in family]
+    return [r for r, _ in _norm_ratios(cfg, list(family), grid, quad,
+                                       workers)]

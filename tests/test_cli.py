@@ -265,6 +265,10 @@ RADIAL = {"operator": "radial", "n": 1, "m": 1, "lambda": "3/2",
     ("probe", dict(BILINEAR, p1=HUGE, q="4", **{"lambda": "7/4"},
                    witnesses=GAUSSIANS), "p1"),
     ("classify", dict(BILINEAR, p1="1/0"), "p1"),
+    # y / a overflows a float on the truncation box
+    ("probe", dict(BILINEAR, **{"lambda": "3/2"}, a_list=[1e-320, 1],
+                   grid={"points_per_axis": 5}, witnesses=GAUSSIANS),
+     "a_list"),
 ])
 def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
                                               key):
@@ -302,6 +306,9 @@ def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
      "lambda: too small for the numeric modes"),
     ("norm", dict(BILINEAR, D1=[[TINY]], **{"lambda": "3/2"}, x=[0.5],
                   witnesses=GAUSSIANS), "D1: too small for the numeric modes"),
+    ("probe", dict(BILINEAR, **{"lambda": "3/2"}, a_list=[1e-320, 1],
+                   grid={"points_per_axis": 5}, witnesses=GAUSSIANS),
+     "a_list: dilation factor 1e-320 is too small"),
 ])
 def test_config_errors_name_their_cause(tmp_path, capsys, mode, cfg,
                                         message):

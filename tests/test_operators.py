@@ -205,7 +205,7 @@ def layout(singular, breaks, quad):
     `test_grid_values_match_pointwise` pins the layout to bit for bit."""
     if singular.size > 2:
         return partition_reference(singular, breaks, quad)
-    return leaves(_partition(singular, breaks, quad))
+    return leaves(_partition(singular, breaks, quad, {}))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -220,7 +220,7 @@ def test_partition_tiles_the_truncation_box(d):
 
 def test_partition_1d_leaves_abut():
     lo, hi = leaves(_partition(np.array([0.3]), [[-1.0, 1.0]],
-                               QuadratureSpec()))
+                               QuadratureSpec(), {}))
     order = np.argsort(lo[:, 0])
     lo, hi = lo[order, 0], hi[order, 0]
     assert lo[0] == -8.0 and hi[-1] == 8.0
@@ -456,7 +456,8 @@ def grid_values(monkeypatch, cfg, f1, f2, grid, quad, workers=None):
     monkeypatch.setattr(operators, "_pointwise_values", record)
     lq_norm_on_grid(cfg, f1, f2, grid, quad, workers=workers)
     monkeypatch.setattr(operators, "_pointwise_values", pointwise_values)
-    return seen[0]
+    (values, errors), = seen[0]
+    return values, errors
 
 
 FOURTH_D = make_config(2, 2, 2, [[1, 0], [0, 0]], [[0, 0], [0, 1]],
@@ -540,6 +541,53 @@ def test_grid_values_do_not_depend_on_chunks(monkeypatch):
     monkeypatch.setattr(operators, "_CHUNK_POINTS", 1 << 14)
     chunked = grid_values(monkeypatch, cfg, f1, f2, grid, quad)
     assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
+
+
+# -- family evaluation: one grid pass for a probe's whole family ------
+
+
+CASE_4A = make_config(1, 1, 1, [[1]], [[1]], 1, 2, 1, Fraction(3, 2))
+SLOPE_1D = make_config(1, 1, 1, [[1]], [[1]], 4, 4, 4, Fraction(7, 4))
+
+FAMILY_BANK = {
+    # dilated Gaussians have no breaks: one partition and kernel per point
+    "1+1-gaussians-18/8": (SLOPE_1D, (G1, G1), [0.5, 1.0, 2.0],
+                           GridSpec(points_per_axis=9),
+                           QuadratureSpec(max_depth=18, base_depth=8)),
+    # the witnesses' breaks differ from pair to pair
+    "case-4a-witnesses": (CASE_4A, None, None, GridSpec(points_per_axis=9),
+                          QuadratureSpec()),
+    # d > 2: each pair takes its own pass over the nine points
+    "2+2-two-pairs": (EYE2, (G2, G2), [0.5, 1.0],
+                      GridSpec(points_per_axis=3), QuadratureSpec(max_depth=5)),
+}
+
+
+@pytest.mark.parametrize("mode", ["serial", "chunked", "workers"])
+@pytest.mark.parametrize("name", list(FAMILY_BANK))
+def test_family_members_match_their_lone_norm_ratio(monkeypatch, name, mode):
+    """A probe evaluates its whole family in one grid pass; each member's
+    ratio and error are still its own `norm_ratio`'s bit for bit, in
+    chunks of 2^14 integrand points and on four threads too."""
+    cfg, pair, a_list, grid, quad = FAMILY_BANK[name]
+    if pair is None:
+        family = witness_for(cfg, Clause.CASE_4A)
+        assert len({repr(f1.breaks() + f2.breaks())
+                    for f1, f2 in family}) == len(family) > 1
+    else:
+        family = [tuple(dilate(f, a) for f in pair) for a in a_list]
+    lone = [operators.norm_ratio(cfg, f1, f2, grid, quad)
+            for f1, f2 in family]
+    assert all(math.isfinite(r) and r > 0 for r, _ in lone)
+    if mode == "chunked":
+        monkeypatch.setattr(operators, "_CHUNK_POINTS", 1 << 14)
+    workers = 4 if mode == "workers" else None
+    ratios = operators.blowup_probe(cfg, family, grid, quad, workers)
+    assert ratios == [r for r, _ in lone]
+    assert operators.blowup_probe(cfg, [], grid, quad, workers) == []
+    if a_list is not None:
+        report = dilation_slope(cfg, *pair, a_list, grid, quad, workers)
+        assert list(zip(report.ratios, report.ratio_errors)) == lone
 
 
 # -- structural identities --------------------------------------------
