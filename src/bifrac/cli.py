@@ -29,7 +29,7 @@ from .functions import (_check_int, _check_real, descriptor_from_dict,
                         lp_norm, witness_for)
 from .matrices import (RationalMatrix, joint_normal_form, signature,
                        single_normal_form)
-from .operators import (GridSpec, QuadratureSpec, blowup_probe,
+from .operators import (GridSpec, QuadratureSpec, _overflows, blowup_probe,
                         dilation_slope, eval_bilinear, eval_linear,
                         eval_radial, lq_norm_on_grid)
 
@@ -164,9 +164,10 @@ def _point(cfg: dict, m: int):
     return x
 
 
-def _witness(cfg: dict, key: str, dim: int, p=None):
-    """The witness descriptor `key`, which must have dimension dim and,
-    when p is given, a finite L^p norm."""
+def _witness(cfg: dict, key: str, dim: int, quad: QuadratureSpec, p=None):
+    """The witness descriptor `key`, which must have dimension dim, values
+    that stay finite in the truncation box of `quad` and, when p is
+    given, a finite L^p norm."""
     witnesses = cfg.get("witnesses", {})
     if not isinstance(witnesses, dict):
         raise ConfigError(f"witnesses: expected an object of descriptors, "
@@ -179,9 +180,13 @@ def _witness(cfg: dict, key: str, dim: int, p=None):
             raise ConfigError(f"expected dim {dim}, got {f.dim}")
         if p is not None:
             lp_norm(f, p)
-        return f
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"witnesses.{key}: {exc}") from None
+    if _overflows(f, quad):
+        raise ConfigError(f"witnesses.{key}: its values overflow inside the "
+                          f"truncation box of radius "
+                          f"{quad.truncation_radius!r}")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +268,8 @@ def cmd_probe(cfg: dict, args) -> int:
               "lambda_resolved": str(oc.lam) if auto else None}
     csv_text = None
     if "a_list" in cfg:
-        f1 = _witness(cfg, "f1", oc.n1, oc.p1)
-        f2 = _witness(cfg, "f2", oc.n2, oc.p2)
+        f1 = _witness(cfg, "f1", oc.n1, quad, oc.p1)
+        f2 = _witness(cfg, "f2", oc.n2, quad, oc.p2)
         report = dilation_slope(oc, f1, f2, _numbers(cfg, "a_list", True),
                                 grid=grid, quad=quad)
         record["dilation"] = report.to_record()
@@ -293,8 +298,8 @@ def cmd_norm(cfg: dict, args) -> int:
     quad = _settings(cfg, "quad", QuadratureSpec())
     if operator == "bilinear":
         oc, _ = _numeric_config(cfg)
-        f1 = _witness(cfg, "f1", oc.n1)
-        f2 = _witness(cfg, "f2", oc.n2)
+        f1 = _witness(cfg, "f1", oc.n1, quad)
+        f2 = _witness(cfg, "f2", oc.n2, quad)
         if "x" in cfg:
             est = eval_bilinear(oc, f1, f2, _point(cfg, oc.m), quad)
         else:
@@ -305,14 +310,14 @@ def cmd_norm(cfg: dict, args) -> int:
         n, m = _check_int("n", cfg["n"], 1), _check_int("m", cfg["m"], 1)
         D = _fits_float("D", _exact(cfg, "D", RationalMatrix.from_rows))
         lam = _fits_float("lambda", _exact(cfg, "lambda"))
-        est = eval_linear(n, m, D, lam, _witness(cfg, "f", n),
+        est = eval_linear(n, m, D, lam, _witness(cfg, "f", n, quad),
                           _point(cfg, m), quad)
     elif operator == "radial":
         _require(cfg, "n", "m", "lambda", "x")
         n, m = _check_int("n", cfg["n"], 1), _check_int("m", cfg["m"], 1)
         lam = _fits_float("lambda", _exact(cfg, "lambda"))
-        est = eval_radial(n, m, lam, _witness(cfg, "f", n), _point(cfg, m),
-                          quad)
+        est = eval_radial(n, m, lam, _witness(cfg, "f", n, quad),
+                          _point(cfg, m), quad)
     else:
         raise ConfigError(f"unknown operator {operator!r}")
     _emit(_dump_json(est.to_record()), args.out)

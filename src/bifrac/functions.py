@@ -4,8 +4,9 @@ Lp norms.
 Descriptors are immutable and evaluation is lazy, so quadrature can
 refine arbitrarily close to singular points without re-ingesting data.
 Each descriptor class carries its own pointwise values (on a (..., dim)
-array of points), its Lp norm and its quadrature breakpoints (the two
-power-logs share one profile's), and the type annotations of its fields
+array of points), its Lp norm, its quadrature breakpoints (the two
+power-logs share one profile's) and its reach, the largest |y| at which
+its values stay finite; and the type annotations of its fields
 drive the checks of its serialized parameters, so a new witness is one
 class plus one `_TAGS` entry.
 scipy is imported only by the norms that need a radial quadrature.
@@ -59,6 +60,10 @@ class NormEstimate:
                 "method": self.method}
 
 
+# below sqrt(float max) ~ 1.34e154: up to this |y|, |y|^2 is finite
+_REACH = 1e154
+
+
 def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
 
@@ -87,6 +92,11 @@ class TestFunction:
         them."""
         return [[] for _ in range(self.dim)]
 
+    def reach(self) -> float:
+        """The largest |y| at which `values` stays finite: there the
+        squared coordinates it sums do not overflow."""
+        return _REACH
+
 
 @dataclass(frozen=True)
 class IndicatorBall(TestFunction):
@@ -113,6 +123,9 @@ class IndicatorBall(TestFunction):
 
     def breaks(self):
         return [[c - self.radius, c, c + self.radius] for c in self.center]
+
+    def reach(self):
+        return _REACH - math.hypot(*self.center)
 
 
 @dataclass(frozen=True)
@@ -262,6 +275,9 @@ class Constant(TestFunction):
             return NormEstimate(0.0, 0.0, "analytic")
         raise DivergentNormError("nonzero constant is not in L^p for p < inf")
 
+    def reach(self):
+        return math.inf
+
 
 @dataclass(frozen=True)
 class Gaussian(TestFunction):
@@ -281,6 +297,10 @@ class Gaussian(TestFunction):
         # int exp(-p |y|^2 / s^2) dy = (pi s^2 / p)^(n/2)
         val = (math.pi * self.scale ** 2 / p) ** (self.dim / (2.0 * p))
         return NormEstimate(val, 0.0, "analytic")
+
+    def reach(self):
+        # |y|^2 / scale^2 must be finite too
+        return _REACH * min(self.scale, 1.0)
 
 
 @dataclass(frozen=True)
@@ -307,6 +327,10 @@ class Dilated(TestFunction):
 
     def breaks(self):
         return [[v * self.a for v in axis] for axis in self.inner.breaks()]
+
+    def reach(self):
+        # y / a must be finite too
+        return self.a * min(self.inner.reach(), np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -340,6 +364,9 @@ class Translated(TestFunction):
     def breaks(self):
         return [[v + s for v in axis]
                 for axis, s in zip(self.inner.breaks(), self._shift())]
+
+    def reach(self):
+        return self.inner.reach() - math.hypot(*self._shift())
 
 
 def dilate(f: TestFunction, a: float) -> TestFunction:

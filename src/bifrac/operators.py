@@ -67,7 +67,10 @@ centroid that lands exactly on the singular point contributes 0
 
 All evaluations are pure functions of (descriptors, spec); grid-point
 results keep the order of the points, so concurrent execution is
-bit-reproducible."""
+bit-reproducible.  In d <= 2 each `_evaluate` call gives each of its
+threads one grow-only workspace, which every grid point's leaf-sized
+arrays reuse and which is dropped when the call returns; the arithmetic
+is that of fresh arrays, bit for bit."""
 
 from __future__ import annotations
 
@@ -166,17 +169,46 @@ class ProbeReport:
 _CHUNK_POINTS = 1 << 20  # integrand points per evaluation call, at most
 
 
-def _combine(coarse: np.ndarray, fine: np.ndarray) -> Tuple[float, float]:
+class _Workspace:
+    """Grow-only flat buffers, one per name, each handed out as a view of
+    the shape asked for; a buffer is replaced only by a larger one."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def __call__(self, name: str, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _product(terms: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """math.prod(terms) written into `out`, to whose shape the terms
+    broadcast: the same left-to-right products, bit for bit."""
+    np.multiply(terms[0], terms[1] if len(terms) > 1 else 1.0, out=out)
+    for t in terms[2:]:
+        np.multiply(out, t, out=out)
+    return out
+
+
+def _combine(coarse: np.ndarray, fine: np.ndarray,
+             ws: Optional[_Workspace] = None) -> Tuple[float, float]:
     """The Richardson combination of the leaves' centroid (coarse) and
     refined (fine) values, with the coarse/fine discrepancy as the error
-    estimate."""
-    return (float(np.sum(fine + (fine - coarse) / 3.0)),
-            float(np.sum(np.abs(fine - coarse))))
+    estimate; its temporaries are taken from `ws`."""
+    ws = _Workspace() if ws is None else ws
+    diff = np.subtract(fine, coarse, out=ws("diff", fine.shape))
+    rich = np.divide(diff, 3.0, out=ws("rich", fine.shape))
+    return (float(np.sum(np.add(fine, rich, out=rich))),
+            float(np.sum(np.abs(diff, out=diff))))
 
 
 def _leaf_sum(kernel: Callable[..., np.ndarray], family,
               factors: Sequence[Tuple[np.ndarray, np.ndarray]],
-              blocks: Sequence[int]) -> List[Tuple[float, float]]:
+              blocks: Sequence[int],
+              ws: _Workspace) -> List[Tuple[float, float]]:
     """Per tuple of `family`, `_combine` of the centroid values and one
     2^d refinement pass over the leaves of a factored partition, d <= 2.
 
@@ -190,7 +222,9 @@ def _leaf_sum(kernel: Callable[..., np.ndarray], family,
     one, as numpy sums a contiguous row of fewer than 8, so per-leaf
     values do not depend on the factoring.
     Factor 0 is evaluated in chunks of at most _CHUNK_POINTS integrand
-    points, which bounds memory and does not change the values."""
+    points, which bounds memory and does not change the values.  Every
+    array of the size of a chunk's leaves is a view into `ws`, which
+    `kernel(ys, ws)` writes its values into too."""
     nb = len(blocks)
     ndim = nb + len(factors)
     offsets = [np.array(list(itertools.product((0.25, 0.75), repeat=n)))
@@ -200,7 +234,7 @@ def _leaf_sum(kernel: Callable[..., np.ndarray], family,
     step = max(1, _CHUNK_POINTS // row)
     whole = step >= len(factors[0][0])   # one chunk: members share kernels
     if not whole and len(family) > 1:   # in turn, each holding its leaves
-        return [_leaf_sum(kernel, [inputs], factors, blocks)[0]
+        return [_leaf_sum(kernel, [inputs], factors, blocks, ws)[0]
                 for inputs in family]
 
     def along(v, axis):
@@ -208,17 +242,18 @@ def _leaf_sum(kernel: Callable[..., np.ndarray], family,
         shape[axis] = -1
         return v.reshape(shape)
 
-    def integrand(inputs, ys, kern):
+    def integrand(inputs, ys, *rest, out):
         # a lone integrand's K (f1 f2): IEEE products commute
-        out = math.prod(f.values(y) for f, y in zip(inputs, ys))
-        return np.multiply(out, kern, out=out)
+        return _product([f.values(y) for f, y in zip(inputs, ys)]
+                        + list(rest), out)
 
     sums = [[] for _ in family]
     lo0, hi0 = factors[0]
     for k in range(0, len(lo0), step):
         chunk = [(lo0[k:k + step], hi0[k:k + step])] + list(factors[1:])
-        vol = math.prod(along(hi - lo, nb + f)
-                        for f, (lo, hi) in enumerate(chunk)).ravel()
+        widths = [along(hi - lo, nb + f) for f, (lo, hi) in enumerate(chunk)]
+        vol = _product(widths, ws("vol", np.broadcast_shapes(
+            *(w.shape for w in widths))))
         centre, sub = [], []
         start = 0
         for b, n in enumerate(blocks):
@@ -231,25 +266,37 @@ def _leaf_sum(kernel: Callable[..., np.ndarray], family,
             centre.append(np.stack(np.broadcast_arrays(*mids), axis=-1))
             sub.append(np.stack(np.broadcast_arrays(*points), axis=-1))
             start += n
-        kern = kernel(*centre)
-        coarse = [integrand(inputs, centre, kern).reshape(-1) * vol
-                  for inputs in family]
-        kern = kernel(*sub)
+        kern = kernel(centre, ws)
+        coarse = ws("coarse", (len(family), vol.size))
+        for inputs, c in zip(family, coarse):
+            integrand(inputs, centre, kern, vol, out=c.reshape(vol.shape))
+        kern = kernel(sub, ws)
+        vol = vol.reshape(-1)
+        fine = ws("fine", vol.shape)
         for inputs, c, parts in zip(family, coarse, sums):
             # numpy adds fewer than 8 terms (d <= 2 here) one by one along
-            # any axis: the corner axis gives the row mean of one corner set
-            fine = (integrand(inputs, sub, kern).reshape(corners, -1)
-                    .mean(axis=0) * vol)
-            parts.append(_combine(c, fine) if whole else (c, fine))
-    return [parts[0] if whole else _combine(*map(np.concatenate, zip(*parts)))
+            # any axis: the corner axis gives the row mean of one corner
+            # set, summed and then divided as np.mean does
+            values = integrand(inputs, sub, kern, out=ws("sub", kern.shape))
+            np.add.reduce(values.reshape(corners, -1), axis=0, out=fine)
+            np.divide(fine, corners, out=fine)
+            np.multiply(fine, vol, out=fine)
+            parts.append(_combine(c, fine, ws) if whole
+                         else (c.copy(), fine.copy()))
+    return [parts[0] if whole
+            else _combine(*map(np.concatenate, zip(*parts)), ws)
             for parts in sums]
 
 
-def _kernel(dists, lam: float, offset: float) -> np.ndarray:
+def _kernel(dists, lam: float, offset: float,
+            ws: Optional[_Workspace] = None) -> np.ndarray:
     """(offset + sum of the block distances)^-lam, 0 where the base is 0
-    (the singular point, of measure zero)."""
-    base = sum(dists, offset)
-    zero = base <= 0
+    (the singular point, of measure zero), written into `ws`."""
+    ws = _Workspace() if ws is None else ws
+    shape = np.broadcast_shapes(*(d.shape for d in dists))
+    *rest, last = dists
+    base = np.add(sum(rest, offset), last, out=ws("kernel", shape))
+    zero = np.less_equal(base, 0, out=ws("zero", shape, bool))
     with np.errstate(divide="ignore"):
         base **= -lam
     base[zero] = 0.0
@@ -572,21 +619,31 @@ def _evaluate(family: Sequence[Sequence[TestFunction]],
         for i, inputs in enumerate(family):
             breaks = tuple(tuple(axis) for f in inputs for axis in f.breaks())
             groups.setdefault(breaks, []).append(i)
+        import threading   # loaded with concurrent.futures already
+        local = threading.local()   # a workspace per thread, for this call
 
         def point(row):
-            def kernel(*ys):
+            def kernel(ys, ws):
                 return _kernel([np.linalg.norm(c - y, axis=-1)
-                                for c, y in zip(row, ys)], lam, offset)
+                                for c, y in zip(row, ys)], lam, offset, ws)
+            if not hasattr(local, "ws"):
+                local.ws = _Workspace()
             sums, axes = {}, {}
             for breaks, members in groups.items():
                 sums.update(zip(members, _leaf_sum(
                     kernel, [family[i] for i in members],
                     _partition(np.concatenate(row), breaks, quad, axes),
-                    blocks)))
+                    blocks, local.ws)))
             return [sums[i] for i in range(len(family))]
         sums = np.array(list(run(point, zip(*centres))), dtype=float)
     return list(sums.reshape(len(centres[0]), len(family), 2)
                 .transpose(1, 2, 0).copy())
+
+
+def _overflows(f: TestFunction, quad: QuadratureSpec) -> bool:
+    """Whether `f.values` may overflow in the truncation box, whose
+    corners lie at |y| = radius sqrt(dim)."""
+    return not f.reach() >= quad.truncation_radius * math.sqrt(f.dim)
 
 
 def _estimate(values) -> NormEstimate:
@@ -704,8 +761,8 @@ def dilation_slope(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
                           f"factors, got {list(a_list)!r}")
     if cfg.q.is_infinite:
         raise BifracError("q: slope probe requires q < inf")
-    for a in a_list:   # the dilated inputs take y / a, y in the box
-        if a > 0 and math.isinf(quad.truncation_radius / a):
+    for a in a_list:
+        if a > 0 and any(_overflows(dilate(f, a), quad) for f in (f1, f2)):
             raise BifracError(f"a_list: dilation factor {a!r} is too small")
     pairs = _norm_ratios(cfg, [(dilate(f1, a), dilate(f2, a))
                                for a in a_list], grid, quad, workers)
@@ -735,5 +792,10 @@ def blowup_probe(cfg: OperatorConfig, family,
     """Norm ratios along a family of (f1, f2) pairs (ordered by
     decreasing concentration parameter); monotone growth is the
     finite-probe signature of unboundedness."""
-    return [r for r, _ in _norm_ratios(cfg, list(family), grid, quad,
-                                       workers)]
+    family = list(family)
+    for i, pair in enumerate(family):
+        for f, name in zip(pair, ("f1", "f2")):
+            if _overflows(f, quad):
+                raise BifracError(f"family[{i}].{name}: its values overflow "
+                                  f"inside the truncation box")
+    return [r for r, _ in _norm_ratios(cfg, family, grid, quad, workers)]

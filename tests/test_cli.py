@@ -309,6 +309,14 @@ def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
     ("probe", dict(BILINEAR, **{"lambda": "3/2"}, a_list=[1e-320, 1],
                    grid={"points_per_axis": 5}, witnesses=GAUSSIANS),
      "a_list: dilation factor 1e-320 is too small"),
+    ("probe", dict(BILINEAR, **{"lambda": "3/2"}, a_list=[1e-300, 1],
+                   grid={"points_per_axis": 5}, witnesses=GAUSSIANS),
+     "a_list: dilation factor 1e-300 is too small"),
+    ("norm", dict(BILINEAR, **{"lambda": "3/2"}, x=[0.5], witnesses=dict(
+        GAUSSIANS, f1={"tag": "dilated", "dim": 1, "a": 1e-300,
+                       "inner": GAUSSIANS["f1"]})),
+     "witnesses.f1: its values overflow inside the truncation box of "
+     "radius 8.0"),
 ])
 def test_config_errors_name_their_cause(tmp_path, capsys, mode, cfg,
                                         message):

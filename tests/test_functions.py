@@ -48,6 +48,29 @@ def test_values_keep_the_leading_axes(f):
                                         for p in y.reshape(6, f.dim)])
 
 
+@pytest.mark.parametrize("f", VALUES_BANK,
+                         ids=[type(f).__name__ for f in VALUES_BANK])
+def test_values_stay_finite_out_to_their_reach(f):
+    """values is finite, and warns of no overflow (warnings fail this
+    suite), at points as far out as the descriptor's reach."""
+    r = min(f.reach(), 1e300)
+    assert r >= 1e150
+    axis = np.zeros(f.dim)
+    axis[-1] = r
+    for y in (axis, np.full(f.dim, r / math.sqrt(f.dim)), -axis):
+        assert np.isfinite(f.values(y))
+
+
+def test_reach_scales_with_dilation_and_shrinks_with_translation():
+    g = Gaussian(dim=2)
+    assert dilate(g, 1e-300).reach() == 1e-300 * g.reach()
+    assert translate(dilate(g, 1e-153), [3.0, 4.0]).reach() == \
+        pytest.approx(5.0)
+    # y / a must stay finite too, whatever the inner descriptor
+    assert dilate(Constant(dim=1), 0.5).reach() == \
+        0.5 * np.finfo(float).max
+
+
 def test_values_bank_covers_every_descriptor_class():
     assert {type(f) for f in VALUES_BANK} == set(functions._TAGS.values())
 

@@ -557,6 +557,10 @@ FAMILY_BANK = {
     # the witnesses' breaks differ from pair to pair
     "case-4a-witnesses": (CASE_4A, None, None, GridSpec(points_per_axis=9),
                           QuadratureSpec()),
+    # the same family last to first: the workspace grows within a call
+    "case-4a-witnesses-reversed": (CASE_4A, None, None,
+                                   GridSpec(points_per_axis=9),
+                                   QuadratureSpec()),
     # d > 2: each pair takes its own pass over the nine points
     "2+2-two-pairs": (EYE2, (G2, G2), [0.5, 1.0],
                       GridSpec(points_per_axis=3), QuadratureSpec(max_depth=5)),
@@ -572,6 +576,8 @@ def test_family_members_match_their_lone_norm_ratio(monkeypatch, name, mode):
     cfg, pair, a_list, grid, quad = FAMILY_BANK[name]
     if pair is None:
         family = witness_for(cfg, Clause.CASE_4A)
+        if name.endswith("-reversed"):
+            family = family[::-1]
         assert len({repr(f1.breaks() + f2.breaks())
                     for f1, f2 in family}) == len(family) > 1
     else:
