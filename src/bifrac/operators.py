@@ -56,6 +56,12 @@ leaves in the order of its lone evaluation, level by level and Morton
 order within a level, with each leaf's arithmetic unchanged, so its
 value and error estimate are those of the point alone, bit for bit.
 
+In d <= 2 with 1-d blocks only the product of the axes' live ranges
+(`_live`: the leaves from the first to the last where an input is
+nonzero at a leaf point) is evaluated.  Any other leaf has a factor on
+which every input is 0, so its terms in the sums would be +0.0: it keeps
+the zero its full-length buffers are filled with, and no bit moves.
+
 Both depths come from `QuadratureSpec.depths(d)`: a depth the spec
 leaves unset takes the default for the integration dimension d, and the
 base depth is capped at the maximum.  Every leaf gets a centroid value
@@ -205,6 +211,26 @@ def _combine(coarse: np.ndarray, fine: np.ndarray,
             float(np.sum(np.abs(diff, out=diff))))
 
 
+def _live(inputs: Sequence[TestFunction], lo: np.ndarray, hi: np.ndarray):
+    """The live range of the leaves [lo, hi] of a 1-d block's axis, and
+    each of `inputs` at the leaves' centroids and quarter points, (3, n)
+    on that range.  Refuses an input that breaks inside the box but is 0
+    at all of those points: the partition never samples it."""
+    points = np.stack([(lo + hi) / 2.0, lo + 0.25 * (hi - lo),
+                       lo + 0.75 * (hi - lo)])[..., None]
+    values = [f.values(points) for f in inputs]
+    seen = (np.array(values) != 0).any(axis=1)
+    for f, sampled in zip(inputs, seen.any(axis=1)):
+        for b in [] if sampled else f.breaks()[0]:
+            if lo[0] < b < hi[-1]:
+                raise BifracError(f"quad: the partition is too coarse to "
+                                  f"sample an input that breaks at {b!r}")
+    hit = seen.any(axis=0)
+    first, stop = int(hit.argmax()), len(hit) - int(hit[::-1].argmax())
+    live = slice(first, stop if hit[first] else first)
+    return live, [v[:, live] for v in values]
+
+
 def _leaf_sum(kernel: Callable[..., np.ndarray], family,
               factors: Sequence[Tuple[np.ndarray, np.ndarray]],
               blocks: Sequence[int],
@@ -221,36 +247,49 @@ def _leaf_sum(kernel: Callable[..., np.ndarray], family,
     one d-dimensional corner set and each leaf's mean adds them one by
     one, as numpy sums a contiguous row of fewer than 8, so per-leaf
     values do not depend on the factoring.
+    On 1-d blocks only the product of the `_live` ranges is evaluated.
     Factor 0 is evaluated in chunks of at most _CHUNK_POINTS integrand
     points, which bounds memory and does not change the values.  Every
-    array of the size of a chunk's leaves is a view into `ws`, which
-    `kernel(ys, ws)` writes its values into too."""
+    leaf-sized array is a view into `ws`, which `kernel(ys, ws)` writes
+    its values into too."""
     nb = len(blocks)
     ndim = nb + len(factors)
+    window, tables = (slice(None),) * len(factors), ()
+    if max(blocks) == 1:
+        window, tables = zip(*(_live([inputs[b] for inputs in family], *f)
+                               for b, f in enumerate(factors)))
+        if any(w.start == w.stop for w in window):
+            return [(0.0, 0.0)] * len(family)
+    live = [(lo[w], hi[w]) for (lo, hi), w in zip(factors, window)]
+    full, shape = ([len(lo) for lo, _ in f] for f in (factors, live))
     offsets = [np.array(list(itertools.product((0.25, 0.75), repeat=n)))
                for n in blocks]
     corners = 2 ** len(factors)
-    row = corners * math.prod(len(lo) for lo, _ in factors[1:])
-    step = max(1, _CHUNK_POINTS // row)
-    whole = step >= len(factors[0][0])   # one chunk: members share kernels
-    if not whole and len(family) > 1:   # in turn, each holding its leaves
+    step = max(1, _CHUNK_POINTS // (corners * math.prod(shape[1:])))
+    if step < shape[0] and len(family) > 1:   # several chunks: the tuples
         return [_leaf_sum(kernel, [inputs], factors, blocks, ws)[0]
-                for inputs in family]
+                for inputs in family]   # in turn, else sharing kernels
+    coarse, fine = ws("coarse", (len(family), *full)), ws("fine", full)
+    if shape != full:   # the leaves outside the live ranges are +0.0
+        coarse[...] = fine[...] = 0.0
 
-    def along(v, axis):
-        shape = [1] * ndim
-        shape[axis] = -1
-        return v.reshape(shape)
+    def along(v, axis, rows=1, at=0):
+        return v.reshape([-1 if a == axis else rows if a == at else 1
+                          for a in range(ndim)])
 
-    def integrand(inputs, ys, *rest, out):
-        # a lone integrand's K (f1 f2): IEEE products commute
-        return _product([f.values(y) for f, y in zip(inputs, ys)]
-                        + list(rest), out)
+    def inputs_at(i, ys, part, corner):
+        # tuple i's inputs at `ys`; on 1-d blocks, its `_live` values
+        if not tables:
+            return [f.values(y) for f, y in zip(family[i], ys)]
+        rows = slice(1, 3) if corner else slice(0, 1)
+        return [along(t[i][rows, part if b == 0 else slice(None)], nb + b,
+                      1 + corner, b) for b, t in enumerate(tables)]
 
-    sums = [[] for _ in family]
-    lo0, hi0 = factors[0]
-    for k in range(0, len(lo0), step):
-        chunk = [(lo0[k:k + step], hi0[k:k + step])] + list(factors[1:])
+    sums = []
+    lo0, hi0 = live[0]
+    for k in range(0, shape[0], step):
+        part = slice(k, k + step)
+        chunk = [(lo0[part], hi0[part])] + list(live[1:])
         widths = [along(hi - lo, nb + f) for f, (lo, hi) in enumerate(chunk)]
         vol = _product(widths, ws("vol", np.broadcast_shapes(
             *(w.shape for w in widths))))
@@ -267,25 +306,24 @@ def _leaf_sum(kernel: Callable[..., np.ndarray], family,
             sub.append(np.stack(np.broadcast_arrays(*points), axis=-1))
             start += n
         kern = kernel(centre, ws)
-        coarse = ws("coarse", (len(family), vol.size))
-        for inputs, c in zip(family, coarse):
-            integrand(inputs, centre, kern, vol, out=c.reshape(vol.shape))
-        kern = kernel(sub, ws)
-        vol = vol.reshape(-1)
-        fine = ws("fine", vol.shape)
-        for inputs, c, parts in zip(family, coarse, sums):
+        for i, c in enumerate(coarse):
+            # a lone integrand's K (f1 f2): IEEE products commute
+            _product(inputs_at(i, centre, part, False) + [kern, vol],
+                     c[window][part][(None,) * nb])
+        kern, out = kernel(sub, ws), fine[window][part]
+        vol = vol.reshape(out.shape)
+        for i, c in enumerate(coarse):
             # numpy adds fewer than 8 terms (d <= 2 here) one by one along
             # any axis: the corner axis gives the row mean of one corner
             # set, summed and then divided as np.mean does
-            values = integrand(inputs, sub, kern, out=ws("sub", kern.shape))
-            np.add.reduce(values.reshape(corners, -1), axis=0, out=fine)
-            np.divide(fine, corners, out=fine)
-            np.multiply(fine, vol, out=fine)
-            parts.append(_combine(c, fine, ws) if whole
-                         else (c.copy(), fine.copy()))
-    return [parts[0] if whole
-            else _combine(*map(np.concatenate, zip(*parts)), ws)
-            for parts in sums]
+            values = _product(inputs_at(i, sub, part, True) + [kern],
+                              ws("sub", kern.shape))
+            np.add.reduce(values.reshape(corners, *vol.shape), axis=0, out=out)
+            np.divide(out, corners, out=out)
+            np.multiply(out, vol, out=out)
+            if k + step >= shape[0]:   # the last chunk
+                sums.append(_combine(c.reshape(-1), fine.reshape(-1), ws))
+    return sums
 
 
 def _kernel(dists, lam: float, offset: float,
@@ -767,8 +805,10 @@ def dilation_slope(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
     pairs = _norm_ratios(cfg, [(dilate(f1, a), dilate(f2, a))
                                for a in a_list], grid, quad, workers)
     ratios = [r for r, _ in pairs]
-    if any(r <= 0 for r in ratios):
-        raise BifracError("nonpositive norm ratio in slope probe")
+    zero = [a for a, r in zip(a_list, ratios) if r <= 0]
+    if zero:
+        raise BifracError(f"a_list: dilation factor {zero[0]!r} gives a zero "
+                          f"grid norm, a nonpositive norm ratio")
     xs = np.log(np.asarray(a_list, dtype=float))
     ys = np.log(np.asarray(ratios))
     if len(a_list) > 2:

@@ -317,6 +317,15 @@ def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
                        "inner": GAUSSIANS["f1"]})),
      "witnesses.f1: its values overflow inside the truncation box of "
      "radius 8.0"),
+    # the dilated Gaussians underflow to 0 at every leaf point
+    ("probe", dict(BILINEAR, **{"lambda": "3/2"}, a_list=[1e-150, 1],
+                   grid={"points_per_axis": 5}, witnesses=GAUSSIANS),
+     "a_list: dilation factor 1e-150 gives a zero grid norm, a nonpositive "
+     "norm ratio"),
+    # none of the six leaf points at max depth 1 lies in the unit ball
+    ("norm", dict(LINEAR, quad={"max_depth": 1}),
+     "quad: the partition is too coarse to sample an input that breaks at "
+     "-1.0"),
 ])
 def test_config_errors_name_their_cause(tmp_path, capsys, mode, cfg,
                                         message):

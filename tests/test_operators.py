@@ -95,6 +95,19 @@ def test_zero_input_gives_zero():
     assert eval_radial(1, 1, Fraction(1), z, [1.0]).value == 0.0
 
 
+def test_input_outside_the_box_gives_exact_zero():
+    """A ball wholly outside the truncation box is 0 at every leaf point
+    and breaks only outside the box: every live range is empty, and the
+    value and error estimate are exactly 0, with no refusal."""
+    far = translate(IndicatorBall(dim=1), [20.0])
+    cfg = make_config(1, 1, 1, [[1]], [[1]], 2, 2, 2, Fraction(1, 2))
+    est = eval_bilinear(cfg, far, ball(), [0.0])
+    assert (est.value, est.abs_error) == (0.0, 0.0)
+    D = RationalMatrix.from_rows([[1]])
+    est = eval_linear(1, 1, D, Fraction(1, 2), far, [0.0])
+    assert (est.value, est.abs_error) == (0.0, 0.0)
+
+
 def test_non_integrable_order_rejected():
     cfg = make_config(1, 1, 1, [[1]], [[1]], 1, 1, "1/2", Fraction(2))
     with pytest.raises(NonIntegrableError):
@@ -423,6 +436,14 @@ FACTORED_BANK = {
     "linear-3": linear_case(3, Fraction(2), Gaussian(dim=3),
                             [0.3, -0.2, 0.1]),
     "radial-3": radial_case(3, Fraction(2), Gaussian(dim=3), [0.4]),
+    # the singular point lies outside both supports: both axes are cut
+    "delta-x-powerlog-off-support": bilinear_case(
+        ONE, MollifiedDelta(dim=1, width=1 / 64), PowerLog(dim=1), [3.0],
+        QuadratureSpec(base_depth=9, max_depth=15)),
+    # the tails underflow to exact zeros at different radii
+    "gaussians-dilated-0.01-x-0.02": bilinear_case(
+        ONE, dilate(Gaussian(dim=1), 0.01), dilate(Gaussian(dim=1), 0.02),
+        [0.3], QuadratureSpec(base_depth=9, max_depth=15)),
 }
 
 
@@ -561,6 +582,15 @@ FAMILY_BANK = {
     "case-4a-witnesses-reversed": (CASE_4A, None, None,
                                    GridSpec(points_per_axis=9),
                                    QuadratureSpec()),
+    # the singular points at x = +-3 lie outside both supports
+    "delta-x-powerlog-off-support": (
+        ONE, (MollifiedDelta(dim=1, width=1 / 64), PowerLog(dim=1)),
+        [1.0, 0.5], GridSpec(half_width=3.0, points_per_axis=5),
+        QuadratureSpec(base_depth=9, max_depth=15)),
+    # one group, cut to the union of its members' live ranges
+    "1+1-gaussians-dilated-0.01-and-0.02": (
+        SLOPE_1D, (G1, G1), [0.01, 0.02], GridSpec(points_per_axis=9),
+        QuadratureSpec(base_depth=10, max_depth=16)),
     # d > 2: each pair takes its own pass over the nine points
     "2+2-two-pairs": (EYE2, (G2, G2), [0.5, 1.0],
                       GridSpec(points_per_axis=3), QuadratureSpec(max_depth=5)),
