@@ -19,8 +19,9 @@ distinct block coordinate, and only the product of the factors and the
 kernel power run on every point.
 
 One call evaluates a family of input tuples, each to its lone values: in
-d <= 2 each distinct axis is built once per point and each partition and
-kernel once per group of equal breaks, in d > 2 each tuple has its pass.
+d <= 2 the distinct axes of a chunk of points are refined in one batch
+and each partition and kernel is built once per point and group of equal
+breaks, in d > 2 each tuple has its pass.
 
 Every axis of every partition is a 1-d partition of the box's side
 made by `_axis_levels`: uniform dyadic splits to a base depth, then only
@@ -38,6 +39,11 @@ its only target: the base lattice is uniform, and a cell splits into
 on every axis.  So each level is a product of the axes' interval sets
 less the product of their split subsets, and `_descend` walks it in
 Morton order, the order in which lexicographic children make it.
+
+In d <= 2 the points of a call go in chunks of at most _BATCH_AXES
+axes, and one chunk per worker at least.  One `_axis_levels` batch
+refines every distinct axis of a chunk (`_refine`), each interval with
+the arithmetic of its axis refined alone, so no bit moves.
 
 The d > 2 layout evaluates all points of one call together
 (`_shared_sums`).  Points whose singular points sit alike on the base
@@ -173,6 +179,7 @@ class ProbeReport:
 
 
 _CHUNK_POINTS = 1 << 20  # integrand points per evaluation call, at most
+_BATCH_AXES = 256  # d <= 2 axes refined in one batch, at most
 
 
 class _Workspace:
@@ -211,20 +218,28 @@ def _combine(coarse: np.ndarray, fine: np.ndarray,
             float(np.sum(np.abs(diff, out=diff))))
 
 
+def _check_sampled(f: TestFunction, sampled: bool, half: float) -> None:
+    """Refuses `f` when it is 0 at every leaf point (not `sampled`) but
+    breaks strictly inside (-half, half) on each of its axes: the
+    partition never samples it."""
+    if sampled:
+        return
+    inside = [[b for b in axis if -half < b < half] for axis in f.breaks()]
+    if all(inside):
+        raise BifracError(f"quad: the partition is too coarse to sample an "
+                          f"input that breaks at {inside[0][0]!r}")
+
+
 def _live(inputs: Sequence[TestFunction], lo: np.ndarray, hi: np.ndarray):
     """The live range of the leaves [lo, hi] of a 1-d block's axis, and
     each of `inputs` at the leaves' centroids and quarter points, (3, n)
-    on that range.  Refuses an input that breaks inside the box but is 0
-    at all of those points: the partition never samples it."""
+    on that range, after `_check_sampled`."""
     points = np.stack([(lo + hi) / 2.0, lo + 0.25 * (hi - lo),
                        lo + 0.75 * (hi - lo)])[..., None]
     values = [f.values(points) for f in inputs]
     seen = (np.array(values) != 0).any(axis=1)
     for f, sampled in zip(inputs, seen.any(axis=1)):
-        for b in [] if sampled else f.breaks()[0]:
-            if lo[0] < b < hi[-1]:
-                raise BifracError(f"quad: the partition is too coarse to "
-                                  f"sample an input that breaks at {b!r}")
+        _check_sampled(f, sampled, hi.max())
     hit = seen.any(axis=0)
     first, stop = int(hit.argmax()), len(hit) - int(hit[::-1].argmax())
     live = slice(first, stop if hit[first] else first)
@@ -247,7 +262,8 @@ def _leaf_sum(kernel: Callable[..., np.ndarray], family,
     one d-dimensional corner set and each leaf's mean adds them one by
     one, as numpy sums a contiguous row of fewer than 8, so per-leaf
     values do not depend on the factoring.
-    On 1-d blocks only the product of the `_live` ranges is evaluated.
+    On 1-d blocks only the product of the `_live` ranges is evaluated;
+    on others each input is checked by `_check_sampled` at the end.
     Factor 0 is evaluated in chunks of at most _CHUNK_POINTS integrand
     points, which bounds memory and does not change the values.  Every
     leaf-sized array is a view into `ws`, which `kernel(ys, ws)` writes
@@ -277,10 +293,14 @@ def _leaf_sum(kernel: Callable[..., np.ndarray], family,
         return v.reshape([-1 if a == axis else rows if a == at else 1
                           for a in range(ndim)])
 
+    sampled = np.zeros((len(family), nb), dtype=bool)
+
     def inputs_at(i, ys, part, corner):
         # tuple i's inputs at `ys`; on 1-d blocks, its `_live` values
         if not tables:
-            return [f.values(y) for f, y in zip(family[i], ys)]
+            values = [f.values(y) for f, y in zip(family[i], ys)]
+            sampled[i] |= [v.any() for v in values]
+            return values
         rows = slice(1, 3) if corner else slice(0, 1)
         return [along(t[i][rows, part if b == 0 else slice(None)], nb + b,
                       1 + corner, b) for b, t in enumerate(tables)]
@@ -323,6 +343,9 @@ def _leaf_sum(kernel: Callable[..., np.ndarray], family,
             np.multiply(out, vol, out=out)
             if k + step >= shape[0]:   # the last chunk
                 sums.append(_combine(c.reshape(-1), fine.reshape(-1), ws))
+    if not tables:   # else `_live` has checked them
+        for f, seen in zip(itertools.chain(*family), sampled.flat):
+            _check_sampled(f, seen, factors[0][1].max())
     return sums
 
 
@@ -363,26 +386,31 @@ def _near(c, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return (c >= lo - width) & (c <= hi + width)
 
 
-def _axis_levels(half: float, targets: Sequence[float], base: int,
+def _axis_levels(half: float, targets, base: int,
                  top: int) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """One axis of a partition of [-half, half], refined toward the
-    points `targets`: for each level 0..top, the intervals there and
-    which of them split.  Below `base` every interval splits, from `base`
-    on those whose own-width neighbourhood holds a target, and at `top`
-    none.  Each level holds the halves of the previous level's split
-    intervals, the lower half first."""
-    lo, hi = np.array([-half]), np.array([half])
-    targets = np.asarray(targets, dtype=float)[:, None]
+    """Axes of partitions of [-half, half], one per row of `targets` (a
+    1-d `targets` is one row), each refined toward its row's points: for
+    each level 0..top, the intervals there and which of them split.
+    Below `base` every interval splits, from `base` on those whose
+    own-width neighbourhood holds a target of their row (a NaN pads a
+    row and is near nothing), and at `top` none.  Each level holds the
+    halves of the previous level's split intervals, the lower half
+    first; so row by row, each row's intervals a run in row order and
+    just those of the row refined alone, bit for bit."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    lo, hi = np.full(len(targets), -half), np.full(len(targets), half)
+    row = np.arange(len(targets))
     out = []
     for level in range(top + 1):
         split = (np.zeros(len(lo), dtype=bool) if level == top
                  else np.ones(len(lo), dtype=bool) if level < base
-                 else _near(targets, lo, hi).any(axis=0))
+                 else _near(targets[row].T, lo, hi).any(axis=0))
         out.append((lo, hi, split))
         slo, shi = lo[split], hi[split]
         mid = 0.5 * (slo + shi)
         lo, hi = np.repeat(slo, 2), np.repeat(shi, 2)
         lo[1::2] = hi[::2] = mid
+        row = np.repeat(row[split], 2)
     return out
 
 
@@ -608,22 +636,40 @@ def _shared_sums(inputs, centres: np.ndarray, blocks: Sequence[int],
     return values, errs
 
 
+def _refine(keys, quad: QuadratureSpec, d: int, axes: dict) -> None:
+    """Adds to `axes` the (lo, hi) leaves, level by level, of the 1-d
+    partition of each key (singular coordinate, *breaks) not in it yet,
+    refined toward the key: all of them in one `_axis_levels` batch of
+    NaN-padded rows, whose kept leaves a stable sort regroups by row."""
+    new = list(dict.fromkeys(k for k in keys if k not in axes))
+    if not new:
+        return
+    targets = np.full((len(new), max(map(len, new))), np.nan)
+    for r, key in enumerate(new):
+        targets[r, :len(key)] = key
+    row, kept = np.arange(len(new)), []
+    for lo, hi, split in _axis_levels(quad.truncation_radius, targets,
+                                      *quad.depths(d)):
+        kept.append((lo[~split], hi[~split], row[~split]))
+        row = np.repeat(row[split], 2)
+    lo, hi, row = map(np.concatenate, zip(*kept))
+    order = np.argsort(row, kind="stable")
+    cuts = np.cumsum(np.bincount(row, minlength=len(new)))[:-1]
+    axes.update(zip(new, zip(np.split(lo[order], cuts),
+                             np.split(hi[order], cuts))))
+
+
 def _partition(singular: np.ndarray, breaks: Sequence[Sequence[float]],
                quad: QuadratureSpec,
                axes: dict) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Factors of the adaptive partition of the truncation box in
     dimension <= 2: per axis the (lo, hi) leaves of one 1-d partition,
     level by level, refined toward the singular coordinate and that
-    axis's breaks and cached in `axes` by them; their product is the
-    partition `_leaf_sum` evaluates."""
-    base, top = quad.depths(singular.size)
-    for s, b in zip(singular, breaks):
-        key = (s, *b)
-        if key not in axes:
-            kept = [(lo[~split], hi[~split]) for lo, hi, split
-                    in _axis_levels(quad.truncation_radius, key, base, top)]
-            axes[key] = tuple(map(np.concatenate, zip(*kept)))
-    return [axes[(s, *b)] for s, b in zip(singular, breaks)]
+    axis's breaks and cached in `axes` by them (`_refine`); their
+    product is the partition `_leaf_sum` evaluates."""
+    keys = [(s, *b) for s, b in zip(singular, breaks)]
+    _refine(keys, quad, singular.size, axes)
+    return [axes[key] for key in keys]
 
 
 def _evaluate(family: Sequence[Sequence[TestFunction]],
@@ -660,20 +706,35 @@ def _evaluate(family: Sequence[Sequence[TestFunction]],
         import threading   # loaded with concurrent.futures already
         local = threading.local()   # a workspace per thread, for this call
 
-        def point(row):
+        def point(row, axes):
             def kernel(ys, ws):
                 return _kernel([np.linalg.norm(c - y, axis=-1)
                                 for c, y in zip(row, ys)], lam, offset, ws)
-            if not hasattr(local, "ws"):
-                local.ws = _Workspace()
-            sums, axes = {}, {}
+            sums = {}
             for breaks, members in groups.items():
                 sums.update(zip(members, _leaf_sum(
                     kernel, [family[i] for i in members],
                     _partition(np.concatenate(row), breaks, quad, axes),
                     blocks, local.ws)))
             return [sums[i] for i in range(len(family))]
-        sums = np.array(list(run(point, zip(*centres))), dtype=float)
+
+        def chunk(rows):
+            # every axis of the chunk's points in one batch
+            if not hasattr(local, "ws"):
+                local.ws = _Workspace()
+            axes = {}
+            _refine([(s, *b) for row in rows for breaks in groups
+                     for s, b in zip(np.concatenate(row), breaks)],
+                    quad, sum(blocks), axes)
+            return [point(row, axes) for row in rows]
+        rows = list(zip(*centres))
+        # at most _BATCH_AXES keys per chunk, and a chunk per worker
+        count = max(1, min(workers or 1, len(rows)), math.ceil(
+            len(rows) * sum(blocks) * len(groups) / _BATCH_AXES))
+        edges = [len(rows) * k // count for k in range(count + 1)]
+        sums = np.array([s for part in run(chunk, [
+            rows[a:b] for a, b in zip(edges, edges[1:])]) for s in part],
+            dtype=float)
     return list(sums.reshape(len(centres[0]), len(family), 2)
                 .transpose(1, 2, 0).copy())
 
@@ -806,6 +867,9 @@ def dilation_slope(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
                                for a in a_list], grid, quad, workers)
     ratios = [r for r, _ in pairs]
     zero = [a for a, r in zip(a_list, ratios) if r <= 0]
+    if len(zero) == len(a_list):
+        raise BifracError("witnesses: the grid norm is zero at every "
+                          "dilation factor, a nonpositive norm ratio")
     if zero:
         raise BifracError(f"a_list: dilation factor {zero[0]!r} gives a zero "
                           f"grid norm, a nonpositive norm ratio")

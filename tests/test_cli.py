@@ -326,6 +326,20 @@ def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
     ("norm", dict(LINEAR, quad={"max_depth": 1}),
      "quad: the partition is too coarse to sample an input that breaks at "
      "-1.0"),
+    # the same on a 2-d block, which has no live ranges
+    ("norm", dict(LINEAR, n=2, m=2, D=[[1, 0], [0, 1]], **{"lambda": "1"},
+                  x=[0.0, 0.0], quad={"max_depth": 1},
+                  witnesses={"f": {"tag": "indicator-ball", "dim": 2}}),
+     "quad: the partition is too coarse to sample an input that breaks at "
+     "-1.0"),
+    # the witness misses the truncation box at every dilation factor
+    ("probe", dict(BILINEAR, **{"lambda": "3/2"}, a_list=[0.5, 1.0],
+                   grid={"points_per_axis": 5},
+                   witnesses=dict(GAUSSIANS, f1={"tag": "indicator-ball",
+                                                 "dim": 1,
+                                                 "center": [100.0]})),
+     "witnesses: the grid norm is zero at every dilation factor, a "
+     "nonpositive norm ratio"),
 ])
 def test_config_errors_name_their_cause(tmp_path, capsys, mode, cfg,
                                         message):

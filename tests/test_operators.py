@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bifrac.classifier import Clause, make_config
+from bifrac.exponents import BifracError
 from bifrac.functions import (Constant, Gaussian, IndicatorBall,
                               MollifiedDelta, PowerLog, SplitPowerLog, dilate,
                               translate, witness_for)
@@ -106,6 +107,18 @@ def test_input_outside_the_box_gives_exact_zero():
     D = RationalMatrix.from_rows([[1]])
     est = eval_linear(1, 1, D, Fraction(1, 2), far, [0.0])
     assert (est.value, est.abs_error) == (0.0, 0.0)
+
+
+def test_unsampled_input_is_refused_anywhere_in_the_box():
+    """A narrow ball near the box's edge that no leaf point samples is
+    refused though the axis's first kept leaf lies right of it; the
+    default depths sample it."""
+    f = IndicatorBall(dim=1, radius=0.05, center=(-7.9,))
+    D = RationalMatrix.from_rows([[1]])
+    with pytest.raises(BifracError, match="^quad: .* breaks at -7.95$"):
+        eval_linear(1, 1, D, Fraction(1, 2), f, [7.0],
+                    QuadratureSpec(base_depth=2, max_depth=4))
+    assert eval_linear(1, 1, D, Fraction(1, 2), f, [7.0]).value > 0
 
 
 def test_non_integrable_order_rejected():
@@ -286,6 +299,36 @@ def test_dyadic_cells_1d_matches_segment_loop(half, specials, base, depth):
                 for lo, hi, split in _axis_levels(half, targets, base, depth)]
         ref = axis_cells_reference(half, targets, base, depth)
         assert np.array_equal(np.concatenate(kept), ref)
+
+
+def lone_leaves(half, key, base, top):
+    """The kept leaves of `_axis_levels` on one key alone, as bytes."""
+    kept = [(lo[~split], hi[~split])
+            for lo, hi, split in _axis_levels(half, key, base, top)]
+    return tuple(np.concatenate(a).tobytes() for a in zip(*kept))
+
+
+@given(st.sampled_from([8.0, 0.3, 3.7, 1.0]),
+       st.lists(st.lists(st.floats(-1.25, 1.25), max_size=4), min_size=1,
+                max_size=6),
+       st.integers(0, 6), st.integers(1, 10))
+@settings(max_examples=60, deadline=None)
+def test_batched_refinement_matches_lone_refinement(half, rows, base, top):
+    """One `_refine` batch gives each key the kept leaves of
+    `_axis_levels` run on that key alone, bit for bit: keys of different
+    lengths (NaN-padded), a repeated key and an empty one among them,
+    and radii whose midpoints are rounded."""
+    base = min(base, top)
+    keys = [tuple(u * half for u in row) for row in rows]
+    keys += [keys[0], ()]
+    quad = QuadratureSpec(truncation_radius=half, base_depth=base,
+                          max_depth=top)
+    axes = {}
+    operators._refine(keys, quad, 1, axes)
+    assert set(axes) == set(keys)
+    for key in keys:
+        assert tuple(a.tobytes() for a in axes[key]) == lone_leaves(
+            half, key, base, top)
 
 
 @pytest.mark.parametrize("n, f1, f2, quad", [
@@ -624,6 +667,33 @@ def test_family_members_match_their_lone_norm_ratio(monkeypatch, name, mode):
     if a_list is not None:
         report = dilation_slope(cfg, *pair, a_list, grid, quad, workers)
         assert list(zip(report.ratios, report.ratio_errors)) == lone
+
+
+@pytest.mark.parametrize("batch, workers, chunks", [
+    (256, None, 1),   # 9 points x 2 axes x 3 break groups fit one chunk
+    (12, None, 5),    # at most 12 axes, 2 points, per chunk
+    (256, 4, 4),      # a chunk per worker
+])
+def test_axes_are_refined_once_per_chunk_of_points(monkeypatch, batch,
+                                                   workers, chunks):
+    """A d <= 2 grid pass enters `_axis_levels` once per chunk of points,
+    not once per point and distinct axis (36 times here), with the
+    ratios of one chunk bit for bit."""
+    family = witness_for(CASE_4A, Clause.CASE_4A)
+    grid = GridSpec(points_per_axis=9)
+    serial = operators.blowup_probe(CASE_4A, family, grid)
+    calls = []
+    axis_levels = operators._axis_levels
+
+    def counted(*args):
+        calls.append(args)
+        return axis_levels(*args)
+
+    monkeypatch.setattr(operators, "_axis_levels", counted)
+    monkeypatch.setattr(operators, "_BATCH_AXES", batch)
+    ratios = operators.blowup_probe(CASE_4A, family, grid, workers=workers)
+    assert len(calls) == chunks
+    assert ratios == serial
 
 
 # -- structural identities --------------------------------------------
