@@ -36,31 +36,32 @@ axis of the integrand's (..., n_b) block arrays (`_leaf_sum`).  In
 higher dimension one d-dimensional partition has the singular point as
 its only target: the base lattice is uniform, and a cell splits into
 2^d children when it lies within its own width of the singular point
-on every axis.  So each level is a product of the axes' interval sets
-less the product of their split subsets, and `_descend` walks it in
-Morton order, the order in which lexicographic children make it.
+on every axis.  So each level's cells are the product of the axes'
+interval sets there, less the product of their split subsets.
 
 In d <= 2 the points of a call go in chunks of at most _BATCH_AXES
 axes, and one chunk per worker at least.  One `_axis_levels` batch
 refines every distinct axis of a chunk (`_refine`), each interval with
 the arithmetic of its axis refined alone, so no bit moves.
 
-The d > 2 layout evaluates all points of one call together
-(`_shared_sums`).  Points whose singular points sit alike on the base
-lattice, with the same exact (rational) offset from the first lattice
-interval that splits and as many split intervals on every axis, form a
-class: the refined cores below their split lattice cells are translates
-of one another by whole lattice cells.  A class builds its core once,
-with the tables of its distinct block coordinates (per level, the
-products of the axis centroids and of the axis subcell corners) and the
-kernel at them; each point evaluates its inputs on the tables shifted
-by its own lattice offset and adds its own lattice cells.  Sharing needs
-exact translates, which the lattice has when the truncation radius has
-few significant bits (a power of two, say); otherwise each point is a
-class of its own, as a single point always is.  Each point sums its
-leaves in the order of its lone evaluation, level by level and Morton
-order within a level, with each leaf's arithmetic unchanged, so its
-value and error estimate are those of the point alone, bit for bit.
+The d > 2 layout (`_level_sums`) evaluates each level from the base
+depth up as that product, broadcast as in d <= 2, in sub-boxes of at
+most _CHUNK_POINTS integrand points: inputs and block distances once
+per distinct block coordinate, and each cell's 2^d subcell corners on a
+contiguous last axis.  A point then gathers its leaves level by level,
+in the order in which splitting cells into their 2^d lexicographic
+children makes them (Morton order), each level's order derived from
+its parent level's; so its value and error estimate are those of the
+pointwise evaluation, bit for bit.  The kernel and the volumes of a
+level depend only on, per axis, the singular coordinate minus the
+centroids and the quarter points, the widths and the split flags; the
+points whose levels above the base agree in all of these, bit for bit,
+form a class and share those levels' kernels and volumes (translates
+by whole lattice cells, when the truncation radius has few significant
+bits), while each evaluates its own inputs and its base level.  A
+class's levels, and then its points, go to the workers.  As in
+d <= 2, an input that is 0 at every point the levels sample is refused
+(`_check_sampled`).
 
 In d <= 2 with 1-d blocks only the product of the axes' live ranges
 (`_live`: the leaves from the first to the last where an input is
@@ -89,10 +90,8 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -364,21 +363,6 @@ def _kernel(dists, lam: float, offset: float,
     return base
 
 
-def _bits(n: int) -> np.ndarray:
-    """The 2^n corners of the unit n-cube, (2^n, n), lexicographic."""
-    return np.array(list(itertools.product((0, 1), repeat=n)))
-
-
-def _morton(d: int, depth: int) -> np.ndarray:
-    """Integer coordinates of the 2^(d depth) cells of a uniform dyadic
-    lattice in the order that splitting every cell into its 2^d
-    children, in lexicographic order, makes them (Morton order)."""
-    cells = np.zeros((1, d), dtype=np.intp)
-    for _ in range(depth):
-        cells = (2 * cells[:, None, :] + _bits(d)).reshape(-1, d)
-    return cells
-
-
 def _near(c, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Whether c lies in the own-width neighbourhood of each interval
     [lo, hi], the rule by which `_axis_levels` splits an interval."""
@@ -414,224 +398,128 @@ def _axis_levels(half: float, targets, base: int,
     return out
 
 
-def _descend(axes, cells: np.ndarray):
-    """Leaves of the partition below `cells`, (k, d) interval indices at
-    the first level of `axes` in Morton order.  A cell splits when its
-    interval splits on every axis, into 2^d children in lexicographic
-    order, so each level's cells stay in Morton order.  Returns, per
-    level, the leaves' interval indices and the row of `cells` each one
-    lies in."""
-    d = cells.shape[1]
-    bits = _bits(d)
-    roots = np.arange(len(cells))
-    out = []
-    for level in range(len(axes[0])):
-        flags = [axis[level][2] for axis in axes]
-        split = np.logical_and.reduce([f[cells[:, i]]
-                                       for i, f in enumerate(flags)])
-        out.append((cells[~split], roots[~split]))
-        rank = np.stack([np.cumsum(f)[cells[split, i]] - 1
-                         for i, f in enumerate(flags)], axis=-1)
-        cells = (2 * rank[:, None, :] + bits).reshape(-1, d)
-        roots = np.repeat(roots[split], len(bits))
-    return out
-
-
-def _grid(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """The product of 1-d arrays, the last axis fastest, coordinate by
-    coordinate: (len(axes), k)."""
-    out = np.empty([len(axes)] + [len(a) for a in axes])
-    for i, a in enumerate(axes):
-        out[i] = a.reshape([-1 if j == i else 1 for j in range(len(axes))])
-    return out.reshape(len(axes), -1)
-
-
-def _tables(axes, blocks: Sequence[int], levels: Sequence[int]):
-    """Block coordinates of the cells of `levels`: per block one (k, n_b)
-    array holding, level by level, the centroids and then the subcell
-    corners of the product of that level's axis intervals; and per block
-    and level the offsets and shape that index them.  Each array is the
-    transpose of a contiguous (n_b, k) one, so sums over a point's
-    coordinates run along long rows; numpy adds fewer than 8 terms one
-    by one along any axis, so they give the bits of a contiguous
-    array."""
-    quarter = np.array([0.25, 0.75])
-    coords = [[] for _ in blocks]
-    index = [[] for _ in blocks]
-    for level in levels:
-        start = 0
-        for b, n in enumerate(blocks):
-            ax = [axis[level] for axis in axes[start:start + n]]
-            mids = [(lo + hi) / 2.0 for lo, hi, _ in ax]
-            corners = [(lo[:, None] + quarter * (hi - lo)[:, None]).ravel()
-                       for lo, hi, _ in ax]
-            size = sum(c.shape[1] for c in coords[b])
-            index[b].append((size, size + math.prod(len(m) for m in mids),
-                             tuple(len(m) for m in mids)))
-            coords[b] += [_grid(mids), _grid(corners)]
-            start += n
-    return [np.concatenate(c, axis=1).T for c in coords], index
-
-
-def _geometry(axes, level: int, cells: np.ndarray, index,
-              blocks: Sequence[int]):
-    """Per block, the table rows of the centroid (k,) and of the 2^n_b
-    subcell corners (k, 2^n_b) of each cell of `cells` at `level`, and
-    the cells' volumes."""
-    cent, corn = [], []
-    start = 0
-    for b, n in enumerate(blocks):
-        first, second, shape = index[b]
-        k = cells[:, start:start + n]
-        # row-major strides of the centroid and the corner tables
-        strides = np.cumprod((1,) + shape[:0:-1])[::-1]
-        twice = strides * 2 ** np.arange(n - 1, -1, -1)
-        cent.append(first + k @ strides)
-        corn.append((second + (2 * k) @ twice)[:, None] + _bits(n) @ twice)
-        start += n
-    widths = np.stack([(hi - lo)[cells[:, i]] for i, (lo, hi, _)
-                       in enumerate(axis[level] for axis in axes)], axis=1)
-    return cent, corn, np.prod(widths, axis=1)
-
-
-def _spread(parts: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Each (k, c_b) array of `parts` with its c_b along its own axis of
-    a (k, c_0, c_1, ...) broadcast."""
-    return [p.reshape((len(p),) + tuple(p.shape[1] if a == b else 1
-                                        for a in range(len(parts))))
-            for b, p in enumerate(parts)]
-
-
-def _kernels(geometry, dists, lam: float, offset: float):
-    """The kernel at the centroids (k,) and at the subcell corners
-    (k, 2^d) of the cells of `geometry`, from per-block table distances."""
-    cent, corn, vol = geometry
-    coarse = _kernel([r[i] for r, i in zip(dists, cent)], lam, offset)
-    fine = _kernel(_spread([r[i] for r, i in zip(dists, corn)]), lam, offset)
-    return coarse, fine.reshape(len(vol), -1)
-
-
-def _leaf_values(geometry, kernels, inputs):
-    """Centroid and refined (subcell-corner mean) values, times volume,
-    of the cells of `geometry`, from per-block table input values."""
-    cent, corn, vol = geometry
-    kc, kf = kernels
-    coarse = kc * math.prod(f[i] for f, i in zip(inputs, cent)) * vol
-    corners = math.prod(_spread([f[i] for f, i in zip(inputs, corn)]))
-    fine = (kf * corners.reshape(len(vol), -1)).mean(axis=1) * vol
-    return coarse, fine
-
-
-def _exact_lattice(half: float, top: int) -> bool:
-    """Whether every partition coordinate down to a quarter of the finest
-    width, and one width past the box, is a float exactly; then a
-    lattice translate of a partition is exact too."""
-    num = Fraction(half).numerator
-    odd = num // (num & -num)
-    return (odd.bit_length() + top + 4 <= 53
-            and math.ldexp(half, -top - 3) >= sys.float_info.min
-            and math.isfinite(4.0 * half))
-
-
-def _shared_sums(inputs, centres: np.ndarray, blocks: Sequence[int],
-                 lam: float, offset: float, quad: QuadratureSpec, run):
+def _level_sums(inputs, centres: np.ndarray, blocks: Sequence[int],
+                lam: float, offset: float, quad: QuadratureSpec, run):
     """Values and error estimates at each row of `centres` (P, d), d > 2,
-    with the points grouped into classes that share one refined core
-    (see the module docstring)."""
+    level by level; the points whose levels above the base have equal
+    kernel inputs share those levels' kernels and volumes (see the
+    module docstring)."""
     points, d = centres.shape
     half = quad.truncation_radius
     base, top = quad.depths(d)
-    lo, hi, _ = _axis_levels(half, (), base, base)[base]
-    # which lattice intervals split, per point and axis, and the first
-    split = (_near(centres[..., None], lo, hi) if top > base
-             else np.zeros(centres.shape + lo.shape, dtype=bool))
-    first = np.argmax(split, axis=2)
-    lattice = _morton(d, base)
-    morton = np.empty(len(lattice), dtype=np.intp)
-    morton[np.ravel_multi_index(tuple(lattice.T), (len(lo),) * d)] = \
-        np.arange(len(lattice))
-    lattice_axes = [[(lo, hi, None)]] * d
-    lattice_coords, lattice_index = _tables(lattice_axes, blocks, [0])
-    lattice_inputs = [f.values(t) for f, t in zip(inputs, lattice_coords)]
-    step = max(1, _CHUNK_POINTS // 2 ** d)
+    bits = np.array(list(itertools.product((0, 1), repeat=d)))
+    axes, keys = {}, {}
+    for c in map(float, np.unique(centres)):
+        # per level: split flags, widths, the centroids and the quarter
+        # points, and c minus those two, the kernel's inputs on this axis
+        axes[c] = []
+        for lo, hi, split in _axis_levels(half, [c], base, top):
+            ys = ((lo + hi) / 2.0,
+                  lo[:, None] + [0.25, 0.75] * (hi - lo)[:, None])
+            axes[c].append((split, hi - lo, ys, tuple(c - y for y in ys)))
+        keys[c] = tuple(a.tobytes() for split, width, _, diffs
+                        in axes[c][base + 1:] for a in (split, width, *diffs))
+    classes = {}
+    for p, row in enumerate(centres):
+        classes.setdefault(tuple(keys[c] for c in row), []).append(p)
+    # per point and level: threads on different levels write apart
+    seen = np.zeros((points, top + 1, len(blocks)), dtype=bool)
 
-    def blockwise(row):
-        return np.split(row, np.cumsum(blocks)[:-1])
-
-    def distances(coords, c):
-        return [np.linalg.norm(x - t, axis=-1)
-                for x, t in zip(blockwise(c), coords)]
-
-    def splits(p):
-        return np.logical_and.reduce([split[p, i][lattice[:, i]]
-                                      for i in range(d)])
-
-    def leaves(axes, level, cells, index, dists, tabled, each=map):
-        """Per point of `tabled`, the centroid and refined values of
-        `cells` at `level`, chunk by chunk, with the kernel from `dists`
-        shared and the point's own inputs; `index` locates each block's
-        level in the tables, and `each` maps over the points."""
-        out = {p: [] for p in tabled}
-        for k in range(0, len(cells), step):
-            geom = _geometry(axes, level, cells[k:k + step], index, blocks)
-            kern = _kernels(geom, dists, lam, offset)
-
-            def fill(p):
-                out[p].append(_leaf_values(geom, kern, tabled[p]))
-            list(each(fill, tabled))
+    def blockwise(row, at, field, box, corner):
+        # per block, the `field` (2: points, 3: kernel inputs) of its axes
+        # at level `at` on `box`, at the centroids or at the corners, as
+        # one (..., n_b) array: axis i along array axis i and its two
+        # quarter points along array axis d + i
+        parts = [axes[c][at][field][corner][b] for c, b in zip(row, box)]
+        parts = [a.reshape([len(a) if j == i else 2 if j == d + i else 1
+                            for j in range(d * (1 + corner))])
+                 for i, a in enumerate(parts)]
+        out = []
+        for s, n in zip(itertools.accumulate(blocks), blocks):
+            mine = parts[s - n:s]
+            x = np.empty([*map(max, zip(*(a.shape for a in mine))), n])
+            for j, a in enumerate(mine):
+                x[..., j] = a
+            out.append(x)
         return out
 
-    exact = _exact_lattice(half, top)
-    classes = {}
-    for p in range(points):
-        key = tuple((Fraction(c) - Fraction(lo[j]), int(n)) if n else None
-                    for c, j, n in zip(centres[p], first[p],
-                                       split[p].sum(axis=1)))
-        classes.setdefault(key if exact else p, []).append(p)
+    def level(at, kern, members, out):
+        """Into out[p][at], the centroid and the refined values, times
+        volume, of every cell of level `at` of each member p: the product
+        of its axes' intervals there, in sub-boxes of at most
+        _CHUNK_POINTS integrand points, with the kernel and volumes of
+        the axes of the point `kern`."""
+        shape = [len(axes[c][at][1]) for c in kern]
+        sizes, budget = [], max(1, _CHUNK_POINTS // len(bits))
+        for k in reversed(shape):
+            sizes.insert(0, max(1, min(k, budget)))
+            budget //= sizes[0]
+        for p in members:
+            out[p][at] = np.empty(shape), np.empty(shape)
+        for start in itertools.product(*map(range, [0] * d, shape, sizes)):
+            box = tuple(slice(a, a + s) for a, s in zip(start, sizes))
+            vol = math.prod(axes[c][at][1][b].reshape(
+                [-1 if j == i else 1 for j in range(d)])
+                for i, (c, b) in enumerate(zip(kern, box)))
+            kc, kf = (_kernel([np.linalg.norm(x, axis=-1) for x in blockwise(
+                kern, at, 3, box, corner)], lam, offset)
+                for corner in (False, True))
+            for p in members:
+                coarse, fine = out[p][at]
+                vc, vf = ([f.values(y) for f, y in zip(inputs, blockwise(
+                    centres[p], at, 2, box, corner))]
+                    for corner in (False, True))
+                seen[p, at] |= [a.any() or b.any() for a, b in zip(vc, vf)]
+                # a lone integrand's (f1 f2) K, times volume; the corners
+                # of a leaf a contiguous row, whose mean is the reference's
+                _product(vc + [kc, vol], coarse[box])
+                values = _product(vf + [kf], np.empty(kf.shape))
+                np.multiply(values.reshape(-1, len(bits)).mean(axis=1)
+                            .reshape(vol.shape), vol, out=fine[box])
+
+    tables = {}   # a race computes a table twice, to equal values
+
+    def order(flags):
+        # per cell of the product of the axes' intervals (flat, row-major):
+        # whether it splits, and the flat index of its first child in the
+        # next level's product, to which `steps` add the 2^d children's
+        key = tuple(f.tobytes() for f in flags)
+        if key not in tables:
+            nxt = [2 * int(f.sum()) for f in flags]
+            strides = [math.prod(nxt[i + 1:]) for i in range(d)]
+            child = sum(np.ix_(*[2 * s * (np.cumsum(f) - 1)
+                                 for f, s in zip(flags, strides)]))
+            split = math.prod(np.ix_(*[f.astype(int) for f in flags]))
+            tables[key] = (split.astype(bool).ravel(),
+                           child.ravel(), bits @ strides)
+        return tables[key]
+
+    def finish(p, out):
+        # the base level with the point's own kernel, then its leaves in
+        # the order of its lone evaluation: level by level, and at each
+        # level in the order in which splitting cells into their 2^d
+        # lexicographic children makes them (Morton order)
+        level(base, centres[p], [p], out)
+        buffers, own = out.pop(p), [axes[c] for c in centres[p]]
+        cells, leaves = np.zeros(1, dtype=np.intp), []
+        for at in range(top + 1):
+            split, child, steps = order([axis[at][0] for axis in own])
+            split = split[cells]
+            if at >= base:
+                leaves.append([a.ravel()[cells[~split]]
+                               for a in buffers.pop(at)])
+            cells = (child[cells[split]][:, None] + steps).ravel()
+        for f, sampled in zip(inputs, seen[p].any(axis=0)):
+            _check_sampled(f, sampled, half)
+        return _combine(*map(np.concatenate, zip(*leaves)))
 
     values, errs = np.empty(points), np.empty(points)
-    for members in classes.values():
-        rep = members[0]
-        # the core: the cells below the split lattice cells (its roots),
-        # level by level and root by root in the representative's order
-        axes = [_axis_levels(half, [c], base, top)[base:]
-                for c in centres[rep]]
-        roots = lattice[splits(rep)]
-        tree = _descend(axes, roots)[1:]
-        coords, index = _tables(axes, blocks, range(1, len(axes[0])))
-        dists = distances(coords, centres[rep])
-        tabled = {p: [f.values(t + s) for f, t, s in zip(
-            inputs, coords, blockwise(lo[first[p]] - lo[first[rep]]))]
-            for p in members}
-        core = {p: [] for p in members}
-        for level, (cells, _) in enumerate(tree, start=1):
-            for p, parts in leaves(axes, level, cells,
-                                   [ix[level - 1] for ix in index], dists,
-                                   tabled, run).items():
-                core[p] += parts
-        counts = np.array([np.bincount(r, minlength=len(roots))
-                           for _, r in tree]).reshape(len(tree), len(roots))
-        starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
-
-        def finish(p):
-            parts = leaves(lattice_axes, 0, lattice[~splits(p)],
-                           [ix[0] for ix in lattice_index],
-                           distances(lattice_coords, centres[p]),
-                           {p: lattice_inputs})[p]
-            own = [np.concatenate([part[i] for part in core[p]]
-                                  + [np.empty(0)]) for i in (0, 1)]
-            if p != rep:
-                # the point takes the core's roots in its own Morton order
-                rank = np.argsort(morton[np.ravel_multi_index(
-                    tuple((roots - first[rep] + first[p]).T),
-                    (len(lo),) * d)], kind="stable")
-                n = counts[:, rank].ravel()
-                order = np.repeat(starts[:, rank].ravel() - np.cumsum(n) + n,
-                                  n) + np.arange(n.sum())
-                own = [a[order] for a in own]
-            return _combine(np.concatenate([c for c, _ in parts] + own[:1]),
-                            np.concatenate([f for _, f in parts] + own[1:]))
-        for p, (v, e) in zip(members, run(finish, members)):
+    for members in classes.values():   # one class's leaves at a time
+        out = {p: {} for p in members}   # the levels are independent
+        list(run(lambda at: level(at, centres[members[0]], members, out),
+                 range(base + 1, top + 1)))
+        for p, (v, e) in zip(members, run(lambda p: finish(p, out),
+                                          members)):
             values[p], errs[p] = v, e
     return values, errs
 
@@ -696,8 +584,8 @@ def _evaluate(family: Sequence[Sequence[TestFunction]],
           else contextlib.nullcontext()) as pool:
         run = pool.map if pool else map
         if sum(blocks) > 2:
-            return [_shared_sums(inputs, np.concatenate(centres, axis=1),
-                                 blocks, lam, offset, quad, run)
+            return [_level_sums(inputs, np.concatenate(centres, axis=1),
+                                blocks, lam, offset, quad, run)
                     for inputs in family]
         groups = {}   # tuples with the same breaks share each partition
         for i, inputs in enumerate(family):

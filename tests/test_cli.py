@@ -112,6 +112,9 @@ GAUSSIANS = {"f1": {"tag": "gaussian", "dim": 1},
 LINEAR = {"operator": "linear", "n": 1, "m": 1, "D": [[1]],
           "lambda": "1/2", "x": [0.0],
           "witnesses": {"f": {"tag": "indicator-ball", "dim": 1}}}
+LINEAR3 = dict(LINEAR, n=3, m=3, D=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+               x=[0.0, 0.0, 0.0], **{"lambda": "1"},
+               witnesses={"f": {"tag": "indicator-ball", "dim": 3}})
 RADIAL = {"operator": "radial", "n": 1, "m": 1, "lambda": "3/2",
           "x": [0.0], "witnesses": {"f": {"tag": "gaussian", "dim": 1}}}
 
@@ -340,6 +343,17 @@ def test_inexact_or_malformed_inputs_exit_two(tmp_path, capsys, mode, cfg,
                                                  "center": [100.0]})),
      "witnesses: the grid norm is zero at every dilation factor, a "
      "nonpositive norm ratio"),
+    # d > 2 refines only toward the singular point: a narrow ball away
+    # from it falls between the leaf points at the default depths
+    ("norm", dict(LINEAR3, witnesses={"f": {
+        "tag": "indicator-ball", "dim": 3, "radius": 0.1,
+        "center": [3.4, 3.4, 3.4]}}),
+     "quad: the partition is too coarse to sample an input that breaks at "
+     "3.3"),
+    # the 3-d unit ball at max depth 1
+    ("norm", dict(LINEAR3, quad={"max_depth": 1}),
+     "quad: the partition is too coarse to sample an input that breaks at "
+     "-1.0"),
 ])
 def test_config_errors_name_their_cause(tmp_path, capsys, mode, cfg,
                                         message):

@@ -487,6 +487,10 @@ FACTORED_BANK = {
     "gaussians-dilated-0.01-x-0.02": bilinear_case(
         ONE, dilate(Gaussian(dim=1), 0.01), dilate(Gaussian(dim=1), 0.02),
         [0.3], QuadratureSpec(base_depth=9, max_depth=15)),
+    # d > 2 with the max depth at the base depth: every cell is a leaf
+    "linear-3-at-the-base-depth": linear_case(
+        3, Fraction(1), Gaussian(dim=3), [0.3, -0.2, 0.1],
+        QuadratureSpec(max_depth=4)),
 }
 
 
@@ -543,8 +547,8 @@ GRID_BANK = {
                                                    points_per_axis=5),
                             QuadratureSpec(truncation_radius=2.0,
                                            max_depth=6)),
-    # lattice width 0.825 = 2 * 3.3 / 8: translates are not exact, so
-    # every point is its own class
+    # lattice width 0.825 = 2 * 3.3 / 8: the points' differences to
+    # their cells' centroids round apart, so no two share a kernel
     "2+2-inexact-lattice": (EYE2, G2, G2,
                             GridSpec(half_width=1.65, points_per_axis=5),
                             QuadratureSpec(truncation_radius=3.3,
@@ -568,10 +572,10 @@ GRID_BANK = {
 
 @pytest.mark.parametrize("name", list(GRID_BANK))
 def test_grid_values_match_pointwise(monkeypatch, name):
-    """Grid points whose singular points sit alike on the base lattice
-    share one refined partition and its kernel values; every point's
-    value and error estimate is still the pointwise evaluation's bit for
-    bit (a "-chunked" case in chunks of 2^14 integrand points)."""
+    """Grid points whose levels above the base have bit-equal kernel
+    inputs share those levels' kernels and volumes; every point's value
+    and error estimate is still the pointwise evaluation's bit for bit
+    (a "-chunked" case in chunks of 2^14 integrand points)."""
     cfg, f1, f2, grid, quad = GRID_BANK[name]
     if name.endswith("-chunked"):
         monkeypatch.setattr(operators, "_CHUNK_POINTS", 1 << 14)
@@ -579,6 +583,25 @@ def test_grid_values_match_pointwise(monkeypatch, name):
     for x, value, error in zip(grid.points(cfg.m), values, errors):
         _, pointwise = bilinear_case(cfg, f1, f2, x, quad)
         assert (value, error) == pointwise(), x
+
+
+@pytest.mark.parametrize("name", ["3+3-chunked", "2+2-5x5"])
+def test_grid_levels_honour_the_chunk_bound(monkeypatch, name):
+    """The d > 2 layout evaluates each level in sub-boxes: no kernel
+    array holds more than _CHUNK_POINTS integrand points."""
+    cfg, f1, f2, grid, quad = GRID_BANK[name]
+    largest = [0]
+    kernel = operators._kernel
+
+    def recorded(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        largest[0] = max(largest[0], out.size)
+        return out
+
+    monkeypatch.setattr(operators, "_CHUNK_POINTS", 1 << 14)
+    monkeypatch.setattr(operators, "_kernel", recorded)
+    lq_norm_on_grid(cfg, f1, f2, grid, quad)
+    assert 0 < largest[0] <= 1 << 14
 
 
 def test_grid_values_do_not_depend_on_workers(monkeypatch):
@@ -597,9 +620,10 @@ def test_grid_values_do_not_depend_on_workers(monkeypatch):
 
 
 def test_grid_values_do_not_depend_on_chunks(monkeypatch):
-    """The 25 points of the 5x5 grid share one core; evaluating it in
-    chunks of 2^14 integrand points gives the per-point values of one
-    chunk per level bit for bit."""
+    """The 25 points of the 5x5 grid share the kernels of every level
+    above the base; evaluating the levels in chunks of 2^14 integrand
+    points gives the per-point values of one chunk per level bit for
+    bit."""
     cfg, f1, f2, grid, quad = GRID_BANK["2+2-5x5"]
     whole = grid_values(monkeypatch, cfg, f1, f2, grid, quad)
     monkeypatch.setattr(operators, "_CHUNK_POINTS", 1 << 14)
