@@ -47,8 +47,11 @@ the arithmetic of its axis refined alone, so no bit moves.
 The d > 2 layout (`_level_sums`) evaluates each level from the base
 depth up as that product, broadcast as in d <= 2, in sub-boxes of at
 most _CHUNK_POINTS integrand points: inputs and block distances once
-per distinct block coordinate, and each cell's 2^d subcell corners on a
-contiguous last axis.  A point then gathers its leaves level by level,
+per distinct block coordinate, the cells along the trailing d array
+axes and their 2^d subcell corners along the leading d, so a cell's
+corner mean is a sum of 2^d contiguous slabs, added in numpy's pairwise
+order for a contiguous row (`_row_sum`) as the pointwise reference's
+mean adds them.  A point then gathers its leaves level by level,
 in the order in which splitting cells into their 2^d lexicographic
 children makes them (Morton order), each level's order derived from
 its parent level's; so its value and error estimate are those of the
@@ -348,6 +351,32 @@ def _leaf_sum(kernel: Callable[..., np.ndarray], family,
     return sums
 
 
+def _row_sum(slabs: np.ndarray) -> np.ndarray:
+    """The sum over the leading axis of `slabs`, each element's terms added
+    as numpy adds a contiguous row (its identity 0.0 plus `pairwise_sum`
+    of its loops_utils), so bit for bit that row's np.sum; it sums in
+    place and returns slabs[0]."""
+    def pairwise(a):
+        n = len(a)
+        if n > 128:   # two halves, cut at a multiple of 8
+            half = n // 2 - n // 2 % 8
+            return np.add(pairwise(a[:half]), pairwise(a[half:]), out=a[0])
+        rest = n % 8 if n >= 8 else n - 1
+        if n >= 8:   # eight accumulators, added as a tree
+            r = a[:8]
+            for i in range(8, n - rest, 8):
+                r += a[i:i + 8]
+            np.add(r[0::2], r[1::2], out=r[0::2])
+            np.add(r[0::4], r[2::4], out=r[0::4])
+            r[0] += r[4]
+        for x in a[n - rest:]:   # the rest one by one
+            a[0] += x
+        return a[0]
+    total = pairwise(slabs)
+    total += 0.0
+    return total
+
+
 def _kernel(dists, lam: float, offset: float,
             ws: Optional[_Workspace] = None) -> np.ndarray:
     """(offset + sum of the block distances)^-lam, 0 where the base is 0
@@ -414,8 +443,7 @@ def _level_sums(inputs, centres: np.ndarray, blocks: Sequence[int],
         # points, and c minus those two, the kernel's inputs on this axis
         axes[c] = []
         for lo, hi, split in _axis_levels(half, [c], base, top):
-            ys = ((lo + hi) / 2.0,
-                  lo[:, None] + [0.25, 0.75] * (hi - lo)[:, None])
+            ys = ((lo + hi) / 2.0, lo + [[0.25], [0.75]] * (hi - lo))
             axes[c].append((split, hi - lo, ys, tuple(c - y for y in ys)))
         keys[c] = tuple(a.tobytes() for split, width, _, diffs
                         in axes[c][base + 1:] for a in (split, width, *diffs))
@@ -428,11 +456,14 @@ def _level_sums(inputs, centres: np.ndarray, blocks: Sequence[int],
     def blockwise(row, at, field, box, corner):
         # per block, the `field` (2: points, 3: kernel inputs) of its axes
         # at level `at` on `box`, at the centroids or at the corners, as
-        # one (..., n_b) array: axis i along array axis i and its two
-        # quarter points along array axis d + i
-        parts = [axes[c][at][field][corner][b] for c, b in zip(row, box)]
-        parts = [a.reshape([len(a) if j == i else 2 if j == d + i else 1
-                            for j in range(d * (1 + corner))])
+        # one (..., n_b) array: the cells of axis i along array axis
+        # lead + i and, at the corners, its two quarter points along
+        # leading array axis i, so the 2^d corners lie in the
+        # lexicographic order of `bits` ahead of the cells
+        lead = d if corner else 0
+        parts = [axes[c][at][field][corner][..., b] for c, b in zip(row, box)]
+        parts = [a.reshape([-1 if j == lead + i else 2 if j == i else 1
+                            for j in range(lead + d)])
                  for i, a in enumerate(parts)]
         out = []
         for s, n in zip(itertools.accumulate(blocks), blocks):
@@ -470,12 +501,14 @@ def _level_sums(inputs, centres: np.ndarray, blocks: Sequence[int],
                     centres[p], at, 2, box, corner))]
                     for corner in (False, True))
                 seen[p, at] |= [a.any() or b.any() for a, b in zip(vc, vf)]
-                # a lone integrand's (f1 f2) K, times volume; the corners
-                # of a leaf a contiguous row, whose mean is the reference's
+                # a lone integrand's (f1 f2) K, times volume; a leaf's
+                # corners summed slab by slab as the reference's contiguous
+                # row of them, then divided as np.mean does
                 _product(vc + [kc, vol], coarse[box])
                 values = _product(vf + [kf], np.empty(kf.shape))
-                np.multiply(values.reshape(-1, len(bits)).mean(axis=1)
-                            .reshape(vol.shape), vol, out=fine[box])
+                mean = _row_sum(values.reshape(len(bits), *vol.shape))
+                np.divide(mean, len(bits), out=mean)
+                np.multiply(mean, vol, out=fine[box])
 
     tables = {}   # a race computes a table twice, to equal values
 
@@ -567,14 +600,19 @@ def _evaluate(family: Sequence[Sequence[TestFunction]],
     the truncation box, for each tuple of `family` (one input f_b per
     coordinate block) and one (P, n_b) array of centres c_b per block, a
     row per point; returns per tuple its values and error estimates, in
-    point order.  Refuses an input whose dim is not its block's size, and
-    a kernel order outside (0, sum_b n_b), or outside (0, inf) when
+    point order.  Refuses an input whose dim is not its block's size, a
+    centre or offset that is not finite (naming the evaluation point x),
+    and a kernel order outside (0, sum_b n_b), or outside (0, inf) when
     offset > 0; the kernel is 0 at the singular point.  `workers` > 1
     spreads the points over that many threads, with the same results."""
     blocks = [c.shape[1] for c in centres]
     for f, n in ((f, n) for inputs in family for f, n in zip(inputs, blocks)):
         if f.dim != n:
             raise BifracError(f"input of dim {f.dim} on a block of dim {n}")
+    if not (math.isfinite(offset) and all(np.isfinite(c).all()
+                                          for c in centres)):
+        raise BifracError("x: the kernel's centres and offset at x must be "
+                          "finite")
     top = sum(blocks) if offset == 0 else math.inf
     if not 0 < lam < top:
         raise NonIntegrableError(f"kernel order {lam} is outside (0, {top}),"
@@ -633,6 +671,14 @@ def _overflows(f: TestFunction, quad: QuadratureSpec) -> bool:
     return not f.reach() >= quad.truncation_radius * math.sqrt(f.dim)
 
 
+def _point(x, m: int) -> np.ndarray:
+    """The evaluation point x as an array of m finite floats."""
+    x = np.asarray(x, dtype=float).reshape(m)
+    for i, v in enumerate(x.tolist()):
+        _check_real(f"x[{i}]", v)
+    return x
+
+
 def _estimate(values) -> NormEstimate:
     """The one point's estimate of a one-tuple `_evaluate` result."""
     (value, error), = values
@@ -647,7 +693,7 @@ def eval_bilinear(cfg: OperatorConfig, f1: TestFunction, f2: TestFunction,
                   x, quad: QuadratureSpec = QuadratureSpec()) -> NormEstimate:
     """I(f1, f2)(x): integral of f1(y1) f2(y2) against the kernel
     (|D1 x - y1| + |D2 x - y2|)^-lam over the truncation box."""
-    x = np.asarray(x, dtype=float).reshape(cfg.m)
+    x = _point(x, cfg.m)
     centres = (cfg.D1.to_float() @ x, cfg.D2.to_float() @ x)
     return _estimate(_evaluate([(f1, f2)], [c[None] for c in centres],
                                cfg.lam, quad))
@@ -658,14 +704,14 @@ def eval_linear(n: int, m: int, D: RationalMatrix, lam, f: TestFunction,
     """Generalized Riesz potential: integral of f(y) |Dx - y|^-lam, for
     an n x m matrix D."""
     check_shape("D", D, n, m)
-    x = np.asarray(x, dtype=float).reshape(m)
+    x = _point(x, m)
     return _estimate(_evaluate([[f]], ((D.to_float() @ x)[None],), lam, quad))
 
 
 def eval_radial(n: int, m: int, lam, f: TestFunction, x,
                 quad: QuadratureSpec = QuadratureSpec()) -> NormEstimate:
     """Radial operator: integral of f(y) (|x| + |y|)^-lam."""
-    x = np.asarray(x, dtype=float).reshape(m)
+    x = _point(x, m)
     return _estimate(_evaluate([[f]], (np.zeros((1, n)),), lam, quad,
                                offset=float(np.linalg.norm(x))))
 

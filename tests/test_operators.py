@@ -155,6 +155,39 @@ def test_input_dimension_must_match_its_block():
             evaluate()
 
 
+NON_FINITE_BANK = {
+    # d <= 2: a NaN centre evaluated to nan +- nan, an infinite one to 0
+    "bilinear-1+1": lambda v: eval_bilinear(REF, ball(), ball(), [v]),
+    # d > 2: both raised KeyError from the per-axis tables
+    "bilinear-2+2": lambda v: eval_bilinear(EYE2, Gaussian(dim=2),
+                                            Gaussian(dim=2), [v, 0.0]),
+    "linear-3": lambda v: eval_linear(
+        3, 3, RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        Fraction(1), Gaussian(dim=3), [v, 0.0, 0.0]),
+    "radial-2": lambda v: eval_radial(2, 2, Fraction(1), Gaussian(dim=2),
+                                      [v, 0.0]),
+    # centres and offsets that overflow from a finite x reach `_evaluate`
+    "centres-d2": lambda v: operators._evaluate(
+        [[Gaussian(dim=2)]], [np.array([[v, 0.0]])], 1.0, QuadratureSpec()),
+    "centres-d3": lambda v: operators._evaluate(
+        [[Gaussian(dim=3)]], [np.array([[v, 0.0, 0.0]])], 1.0,
+        QuadratureSpec()),
+    "offset": lambda v: operators._evaluate(
+        [[Gaussian(dim=2)]], [np.zeros((1, 2))], 1.0, QuadratureSpec(),
+        offset=abs(v)),
+}
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", list(NON_FINITE_BANK))
+def test_non_finite_evaluation_point_is_refused(name, v):
+    """An evaluation point with a non-finite coordinate, or whose kernel
+    centres or offset are not finite, is refused naming x, in both
+    partition layouts and for every operator."""
+    with pytest.raises(BifracError, match=r"^x(\[0\] |: ).* finite"):
+        NON_FINITE_BANK[name](v)
+
+
 # -- adaptive partition -----------------------------------------------
 
 
@@ -352,6 +385,27 @@ def test_chunked_leaf_sum_is_bit_identical(monkeypatch, n, f1, f2, quad):
                                                   whole.abs_error)
 
 
+ROW_LENGTHS = [*range(1, 10), 15, 16, 17, 32, 64, 127, 128, 129, 256, 512]
+
+
+@pytest.mark.parametrize("n", ROW_LENGTHS)
+def test_row_sum_matches_numpy_row_sum_and_mean(n):
+    """`_row_sum` over n slabs gives, element by element, numpy's sum and
+    mean of a contiguous row of those n values bit for bit: below 8
+    terms, from 8 to 128 and above 128 (numpy's three branches), on
+    values from 1e-8 to 1e8 of either sign with signed zeros among them
+    and a row of -0.0 alone."""
+    rng = np.random.default_rng(n)
+    rows = rng.choice([-1.0, 1.0], (64, n)) * 10.0 ** rng.uniform(-8, 8,
+                                                                   (64, n))
+    rows[rng.random((64, n)) < 0.1] = -0.0
+    rows[rng.random((64, n)) < 0.1] = 0.0
+    rows[0] = -0.0
+    total = operators._row_sum(rows.T.copy())
+    assert total.tobytes() == rows.sum(axis=1).tobytes()
+    assert (total / n).tobytes() == rows.mean(axis=1).tobytes()
+
+
 # -- the factored leaf evaluation against the pointwise one -----------
 
 
@@ -491,6 +545,14 @@ FACTORED_BANK = {
     "linear-3-at-the-base-depth": linear_case(
         3, Fraction(1), Gaussian(dim=3), [0.3, -0.2, 0.1],
         QuadratureSpec(max_depth=4)),
+    # 32 corners a leaf: eight accumulators in the corner sum
+    "3+2-gaussians": gaussians(3, 2, Fraction(7, 2),
+                               QuadratureSpec(max_depth=3)),
+    # 256 corners a leaf: the corner sum splits into halves of 128 (on
+    # the radius 4 box, summing them in another order moves the value)
+    "4+4-gaussians": gaussians(4, 4, Fraction(6),
+                               QuadratureSpec(max_depth=1,
+                                              truncation_radius=4.0)),
 }
 
 
